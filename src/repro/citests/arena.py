@@ -26,18 +26,24 @@ dtype)`` slot and hands out leading views:
   process arrives empty and regrows locally — buffers are pure scratch,
   so this changes warm-up, never results.
 
-The arena is **not** thread-safe by design: each worker (process worker,
-worker thread, or sequential tester) owns a private instance, exactly like
-each owns a private tester.  Views handed out by ``take`` are only valid
-until the next ``take`` of the same slot — the fused engine consumes every
-view before requesting the slot again.
+The arena is **not** thread-safe by design: each worker (process worker
+or worker thread) owns a private instance, exactly like each owns a
+private tester.  Testers built without one use :func:`thread_arena`, the
+calling thread's process-wide instance, looked up per kernel call: every
+tester and session driven from one thread then shares one set of buffers
+sized for the largest wave, instead of each live tester holding its own.
+Views handed out by ``take`` are only valid until the next ``take`` of the
+same slot — the fused engine consumes every view before requesting the
+slot again.
 """
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
-__all__ = ["KernelArena"]
+__all__ = ["KernelArena", "thread_arena"]
 
 #: Smallest buffer ever allocated (elements) — avoids pathological growth
 #: chains for tiny groups.
@@ -127,3 +133,15 @@ class KernelArena:
             f"KernelArena(n_slots={len(self._buffers)}, nbytes={self.nbytes()}, "
             f"n_takes={self.n_takes}, n_grows={self.n_grows})"
         )
+
+
+_LOCAL = threading.local()
+
+
+def thread_arena() -> KernelArena:
+    """The calling thread's process-wide arena (created on first use)."""
+    try:
+        return _LOCAL.arena
+    except AttributeError:
+        _LOCAL.arena = arena = KernelArena()
+        return arena

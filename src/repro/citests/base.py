@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import NamedTuple, Protocol, runtime_checkable
 
-__all__ = ["CITestResult", "CITestCounters", "ConditionalIndependenceTest"]
+__all__ = ["CITestResult", "CITestCounters", "ConditionalIndependenceTest", "evaluate_groups"]
 
 
 class CITestResult(NamedTuple):
@@ -131,3 +131,20 @@ class ConditionalIndependenceTest(Protocol):
     def test_group(
         self, x: int, y: int, sets: Sequence[Sequence[int]]
     ) -> list[CITestResult]: ...
+
+
+def evaluate_groups(
+    tester: ConditionalIndependenceTest,
+    items: Sequence[tuple[int, int, Sequence[Sequence[int]]]],
+) -> list[list[CITestResult]]:
+    """Evaluate ``(x, y, sets)`` endpoint groups on any tester.
+
+    Testers exposing ``test_groups`` get every item in one call (the fused
+    kernel then builds tables *across* the items' edges); the others (the
+    naive baseline, the d-separation oracle) run one ``test_group`` per
+    item.  Per-set results are the same either way.
+    """
+    grouped = getattr(tester, "test_groups", None)
+    if grouped is not None:
+        return grouped(items)
+    return [tester.test_group(x, y, sets) for x, y, sets in items]

@@ -47,7 +47,6 @@ __all__ = [
     "group_ci_counts",
     "fused_cell_counts",
     "offset_vector",
-    "marginalize_table",
     "marginal_tables",
     "n_configurations",
 ]
@@ -228,8 +227,7 @@ def ci_counts(
 
     Returns ``(counts, nz_structural, dense)`` where ``dense`` reports
     whether the first axis covers every structural Z configuration (i.e.
-    compression did **not** kick in) — dense tables can later be
-    marginalized exactly, compressed ones cannot.
+    compression did **not** kick in).
     """
     m = x_col.shape[0]
     nz_structural = n_configurations(rz)
@@ -428,32 +426,6 @@ def fused_cell_counts(
     if offsets is not None:
         np.add(z2d, offsets[:, None], out=z2d, casting="unsafe")
     return np.bincount(z2d.reshape(-1), minlength=int(total_cells))
-
-
-def marginalize_table(
-    table: np.ndarray,
-    dims: Sequence[int],
-    keep: Sequence[int],
-) -> np.ndarray:
-    """Exact marginal of a dense joint-count table.
-
-    ``table`` is any array reshapeable to ``dims`` (one axis per variable);
-    ``keep`` lists the axis positions to retain, *in the output's axis
-    order* (so it both selects and permutes).  All other axes are summed
-    out.  Counts are integers, so the marginal equals what a direct scan
-    of the data would have produced — this is what lets the stats cache
-    answer a lower-order query from a cached higher-order table.
-    """
-    arr = np.asarray(table).reshape(tuple(dims))
-    keep = list(keep)
-    drop = tuple(i for i in range(arr.ndim) if i not in keep)
-    if drop:
-        arr = arr.sum(axis=drop)
-        # Axes shift down after the sum: recompute each kept axis's position.
-        remaining = [i for i in range(len(dims)) if i not in drop]
-        pos = {axis: i for i, axis in enumerate(remaining)}
-        keep = [pos[axis] for axis in keep]
-    return np.ascontiguousarray(arr.transpose(keep))
 
 
 def marginal_tables(

@@ -37,13 +37,13 @@ Two group-evaluation paths, bit-identical by construction and by test:
   slots for the misses (so LRU recency, evictions and hit/miss counters
   replay the looped event sequence bit-for-bit), then the waves build and
   fill the surviving slots in bulk.  Because pending slots are tracked by
-  full table key, duplicate and subset-marginalization resolution works
-  *across* the fused groups, exactly as a looped pass over the same
-  (group, set) stream would have hit them.
+  full table key, duplicate resolution works *across* the fused groups,
+  exactly as a looped pass over the same (group, set) stream would have
+  hit them.
 
 All large scratch lives in a :class:`~repro.citests.arena.KernelArena`
-(one per tester by default; workers share one per process): steady-state
-group evaluation performs zero large allocations.
+(the calling thread's process-wide one by default; workers share one per
+process): steady-state group evaluation performs zero large allocations.
 
 Work-counter accounting is identical in both paths: per test, the same
 ``data_accesses``/``table_cells``/``log_ops`` record the looped path would
@@ -62,7 +62,7 @@ from scipy.special import gammaincc
 
 from ..datasets.dataset import DiscreteDataset
 from ..datasets.encoded import EncodedDataset
-from .arena import KernelArena
+from .arena import KernelArena, thread_arena
 from .base import CITestCounters, CITestResult
 from .contingency import ci_counts, fused_cell_counts, n_configurations
 from .native import native_available
@@ -200,8 +200,7 @@ class ContingencyTableTest:
     stats_cache:
         Optional :class:`~repro.engine.statscache.SufficientStatsCache`;
         tables are then pulled through the cache (memoized by variable
-        tuple, served by exact marginalization when a cached dense superset
-        exists).  Results are bit-identical either way.
+        tuple).  Results are bit-identical either way.
     encoded:
         Optional shared :class:`~repro.datasets.encoded.EncodedDataset`
         over the *same* dataset; by default the tester keeps a private one.
@@ -209,8 +208,10 @@ class ContingencyTableTest:
         ``True`` (default) routes group evaluation through the fused
         kernel; ``False`` keeps the looped per-set reference path.
     arena:
-        Optional shared :class:`~repro.citests.arena.KernelArena` (one per
-        worker); by default the tester keeps a private one.
+        Optional :class:`~repro.citests.arena.KernelArena` (one per
+        worker); by default each kernel call uses the calling thread's
+        :func:`~repro.citests.arena.thread_arena`, so a tester serving
+        from several threads never shares scratch between them.
     """
 
     def __init__(
@@ -237,7 +238,7 @@ class ContingencyTableTest:
         self.batch_groups = bool(batch_groups)
         self.counters = CITestCounters()
         self.encoded = encoded if encoded is not None else EncodedDataset(dataset)
-        self.arena = arena if arena is not None else KernelArena()
+        self._arena = arena
         # Memo of dense conditioning-code rows keyed by set tuple (the set
         # of distinct dense Z encodings a skeleton run touches is small —
         # a few hundred — while the test stream revisits them thousands of
@@ -279,6 +280,11 @@ class ContingencyTableTest:
             self._builder = CachedTableBuilder(
                 dataset, stats_cache, compress_threshold=self.compress_threshold
             )
+
+    @property
+    def arena(self) -> KernelArena:
+        """The kernel scratch pool of the current call (class docstring)."""
+        return self._arena if self._arena is not None else thread_arena()
 
     # ------------------------------------------------------------------ #
     # statistic hooks (subclass responsibility)
@@ -459,7 +465,6 @@ class ContingencyTableTest:
         entries: list[_FusedEntry] = []
         hits: list[tuple[int, int, tuple]] = []
         dups: list[tuple[int, int, tuple]] = []
-        margs: list[tuple[int, int, tuple]] = []
         # Table keys reserved by THIS call; a pending payload outside this
         # set is a stale placeholder from an aborted evaluation, which the
         # planner rebuilds over (the fresh reservation self-heals the slot).
@@ -522,10 +527,6 @@ class ContingencyTableTest:
                         continue
                     if status == "pending" and payload in pending:
                         dups.append((g, i, payload))  # type: ignore[arg-type]
-                        continue
-                    if status == "pending_marg" and payload in pending:
-                        margs.append((g, i, payload))  # type: ignore[arg-type]
-                        pending.add(builder.table_key(x, y, s))
                         continue
                     info = set_info.get(s)
                     if info is None:
@@ -619,20 +620,6 @@ class ContingencyTableTest:
                 self._build_wave(wave, items, gshape, group_xy, results, built_by_key)
 
         if builder is not None:
-            # Cross-group marginalization hits, in plan order (sources —
-            # wave builds or earlier marginals — precede their consumers).
-            for g, i, src_key in margs:
-                x, y, sets = items[g]
-                s = sets[i]
-                counts, nz_structural = builder.marginal_from_key(
-                    src_key, built_by_key[src_key][0], x, y, s
-                )
-                built_by_key[builder.table_key(x, y, s)] = (counts, nz_structural)
-                results[g][i] = self._finish(
-                    x, y, s, counts, nz_structural, ar[x], ar[y],
-                    xy_reused=True, from_cache=True, z_reused=True,
-                )
-
             # Every table this call produced lands in its reserved slot
             # (when still resident) under one lock acquisition.
             if built_by_key:
@@ -734,18 +721,17 @@ class ContingencyTableTest:
         z2d = arena.take("cells", (n, m), cell_dt)
         od_all = np.fromiter((e.offset for e in wave), cell_dt, n)
         if builder is not None:
-            # Cache path: codes were fetched through the builder in plan
-            # order; scale/offset them row by row.  ``od_all[w : w + 1]``
-            # keeps the adds dtype-stable (a 1-element array never
-            # triggers value-based scalar promotion into a narrow,
-            # overflowing intermediate).
-            sc_all = np.fromiter(scales_l, cell_dt, n)
-            for w, e in enumerate(wave):
-                if not e.s:
-                    z2d[w] = od_all[w]  # depth-0: the cell code is xy + offset
-                    continue
-                np.multiply(e.z1d, sc_all[w : w + 1], out=z2d[w], casting="unsafe")
-                np.add(z2d[w], od_all[w : w + 1], out=z2d[w], casting="unsafe")
+            # Cache path: the raw codes were fetched through the builder in
+            # plan order; one concatenate (value-preserving casts: codes
+            # are below ``nz``) then one broadcast scale and offset each.
+            zero_row = self._zero_row
+            np.concatenate(
+                [e.z1d if e.s else zero_row for e in wave],
+                out=z2d.reshape(-1),
+                casting="unsafe",
+            )
+            z2d *= np.fromiter(scales_l, cell_dt, n)[:, None]
+            z2d += od_all[:, None]
         else:
             zmemo = self._z_rows
             zscaled = self._z_scaled
@@ -810,9 +796,8 @@ class ContingencyTableTest:
             for g, k in gpos.items():
                 np.copyto(xy_mat[k], group_xy[g], casting="unsafe")
             row_group = np.fromiter((gpos[e.g] for e in wave), np.int64, n)
-            gather_out = arena.take("xygather", (n, m), cell_dt)
         else:
-            xy_mat = row_group = gather_out = None
+            xy_mat = row_group = None
 
         counts = fused_cell_counts(
             z2d,
@@ -821,7 +806,6 @@ class ContingencyTableTest:
             None,
             None,
             total,
-            gather_out=gather_out,
             use_native=native_ok,
             # Raw (int64) endpoint rows: the widening add into ``add_out``
             # replaces both a per-run narrowing cast and bincount's hidden

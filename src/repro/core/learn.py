@@ -38,6 +38,7 @@ def make_tester(
     stats_cache=None,
     encoded=None,
     arena=None,
+    batch_groups: bool = True,
 ) -> ConditionalIndependenceTest:
     """Instantiate a CI tester by name, or pass an instance through.
 
@@ -50,8 +51,9 @@ def make_tester(
     dataset; ``arena`` optionally shares a
     :class:`~repro.citests.arena.KernelArena` so the fused group kernel's
     scratch buffers are reused across a tester family (one per worker
-    process / session).  The naive tester ignores all three (its
-    per-sample interpretation *is* the point).
+    process); ``batch_groups=False`` keeps the looped per-set reference
+    path.  The naive tester ignores all four (its per-sample
+    interpretation *is* the point).
     """
     if not isinstance(test, str):
         return test
@@ -63,6 +65,7 @@ def make_tester(
             stats_cache=stats_cache,
             encoded=encoded,
             arena=arena,
+            batch_groups=batch_groups,
         )
     if test == "chi2":
         return ChiSquareTest(
@@ -72,6 +75,7 @@ def make_tester(
             stats_cache=stats_cache,
             encoded=encoded,
             arena=arena,
+            batch_groups=batch_groups,
         )
     if test == "mi":
         return MutualInformationTest(
@@ -81,6 +85,7 @@ def make_tester(
             stats_cache=stats_cache,
             encoded=encoded,
             arena=arena,
+            batch_groups=batch_groups,
         )
     if test == "g2-naive":
         return NaiveGSquareTest(dataset, alpha=alpha, dof_adjust=dof_adjust)
@@ -197,9 +202,10 @@ def learn_structure(
     elif method == "fast-bns":
         tester = make_tester(dataset, test, alpha=alpha, dof_adjust=dof_adjust)
     else:
-        # Baselines re-derive encodings per test like the reference
-        # implementations they stand in for: a memoizing encoding layer
-        # would erase part of the storage-layout contrast under study.
+        # Baselines re-derive encodings per test and evaluate one set at
+        # a time, like the reference implementations they stand in for:
+        # a memoizing encoding layer or the fused cross-edge kernel would
+        # erase part of the contrast under study.
         from ..datasets.encoded import EncodedDataset
 
         tester = make_tester(
@@ -208,6 +214,7 @@ def learn_structure(
             alpha=alpha,
             dof_adjust=dof_adjust,
             encoded=EncodedDataset(dataset, memoize=False),
+            batch_groups=False,
         )
 
     t0 = time.perf_counter()

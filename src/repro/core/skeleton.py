@@ -35,14 +35,21 @@ behaviourally identical to immediate removal (conditioning sets come from
 the depth's frozen snapshot and every edge is an independent work item) and
 it makes the engine's output invariant to work-item scheduling order, which
 is exactly the property the parallel backends rely on.
+
+That invariance is also what lets the sequential engine run each depth as
+*rounds*: a round pops up to :data:`ROUND_CAP` ready work items, takes each
+one's next ``gs``-group and evaluates all of them in one
+``test_groups`` call, so the fused kernel builds the tables of many edges
+per invocation even at ``gs=1`` (Sec. IV-B's grouping argument applied one
+level up, across edges).  Verdicts, deferred removals and the trace are
+applied exactly as a one-edge-at-a-time loop would apply them.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 
-from ..citests.base import ConditionalIndependenceTest
+from ..citests.base import ConditionalIndependenceTest, CITestResult, evaluate_groups
 from ..graphs.undirected import UndirectedGraph
 from .edges import EdgeTask
 from .result import DepthStats, SkeletonStats
@@ -50,7 +57,14 @@ from .sepsets import SepSetStore
 from .trace import TestRecord, TraceRecorder
 from .workpool import WorkPool
 
-__all__ = ["learn_skeleton", "build_depth_tasks", "depth_has_work", "process_edge_group"]
+__all__ = ["learn_skeleton", "build_depth_tasks", "depth_has_work", "ROUND_CAP"]
+
+#: Most work items one round evaluates in a single ``test_groups`` call.
+#: Bounds a round's live results and pending tables, so even munin3's
+#: ~541k depth-0 pairs stream through in rounds of this size; at alarm
+#: scale (666 pairs) depth 0 takes one round.  The fused kernel splits a
+#: round into cache-sized waves itself, so a larger cap only saves calls.
+ROUND_CAP = 1024
 
 
 def build_depth_tasks(
@@ -92,50 +106,24 @@ def depth_has_work(graph: UndirectedGraph, depth: int) -> bool:
     return False
 
 
-def process_edge_group(
-    task: EdgeTask,
-    tester: ConditionalIndependenceTest,
-    gs: int,
-    sets_override: Sequence[tuple[int, ...]] | None = None,
-) -> tuple[int, tuple[int, ...] | None, list[TestRecord]]:
-    """Execute the task's next group of ``gs`` CI tests.
-
-    Returns ``(n_executed, accepting_set_or_None, test_records)`` and
-    advances the task's progress.  ``sets_override`` supplies pre-
-    materialised conditioning sets for the ``onthefly=False`` baseline.
-    """
-    if sets_override is not None:
-        start = task.progress
-        group_sets = list(sets_override[start : start + gs])
-    else:
-        group_sets = task.next_group(gs)
-    if not group_sets:
-        return 0, None, []
-    results = tester.test_group(task.u, task.v, group_sets)
-    task.advance(len(group_sets))
-    accepting: tuple[int, ...] | None = None
-    records: list[TestRecord] = []
+def _test_records(
+    task: EdgeTask, results: list[CITestResult], tester: ConditionalIndependenceTest
+) -> list[TestRecord]:
+    """Simulator records of one executed group (table size per test)."""
+    depth = task.depth
     dataset = getattr(tester, "dataset", None)
-    m = dataset.n_samples if dataset is not None else 1
+    if dataset is None:
+        return [TestRecord(depth=depth, m=1, cells=0, independent=r.independent) for r in results]
+    m = dataset.n_samples
+    rxy = dataset.arity(task.u) * dataset.arity(task.v)
+    records = []
     for res in results:
-        if dataset is not None:
-            nz = 1
-            for var in res.s:
-                nz *= dataset.arity(var)
-            cells = dataset.arity(task.u) * dataset.arity(task.v) * min(nz, max(m, 1))
-        else:
-            cells = 0
-        records.append(
-            TestRecord(
-                depth=task.depth,
-                m=m,
-                cells=cells,
-                independent=res.independent,
-            )
-        )
-        if accepting is None and res.independent:
-            accepting = res.s
-    return len(group_sets), accepting, records
+        nz = 1
+        for var in res.s:
+            nz *= dataset.arity(var)
+        cells = rxy * min(nz, max(m, 1))
+        records.append(TestRecord(depth=depth, m=m, cells=cells, independent=res.independent))
+    return records
 
 
 def learn_skeleton(
@@ -178,48 +166,65 @@ def learn_skeleton(
             recorder.begin_depth(depth, graph.n_edges)
 
         tasks = build_depth_tasks(graph, depth, group_endpoints)
-        materialised: dict[int, list[tuple[int, ...]]] | None = None
+        rank = {id(t): i for i, t in enumerate(tasks)}
+        materialised: list[list[tuple[int, ...]]] | None = None
         if not onthefly:
-            materialised = {}
-            for idx, task in enumerate(tasks):
-                sets = task.materialised_sets()
-                materialised[idx] = sets
-                stats.materialised_set_ints += sum(len(s) for s in sets)
+            materialised = [task.materialised_sets() for task in tasks]
+            stats.materialised_set_ints += sum(len(s) for sets in materialised for s in sets)
+        # Per-task group records, replayed to the recorder in task order at
+        # depth end.  An ungrouped edge has two work items that may share a
+        # round; recording as they run would interleave their groups in the
+        # edge's record, unlike the one-edge-at-a-time loop's trace.
+        traced: list[list[list[TestRecord]]] | None = (
+            [[] for _ in tasks] if recorder is not None else None
+        )
 
         pool = WorkPool()
-        task_index: dict[int, int] = {}
-        for idx in range(len(tasks) - 1, -1, -1):
-            pool.push(tasks[idx])
-            task_index[id(tasks[idx])] = idx
+        for task in reversed(tasks):
+            pool.push(task)
 
         # first accepting conditioning set per edge, in work-item order:
         # (edge, item_rank) -> sepset; applied at depth end.
         found: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
-        item_rank: dict[int, int] = {id(t): i for i, t in enumerate(tasks)}
 
         while pool:
-            task = pool.pop()
-            override = materialised[task_index[id(task)]] if materialised is not None else None
-            n_exec, accepting, records = process_edge_group(task, tester, gs, override)
-            if n_exec == 0:
-                continue
-            d_stats.n_tests += n_exec
-            d_stats.n_groups += 1
-            if accepting is not None:
-                # Tests executed after the accepting one (within this group)
-                # are the gs redundancy of Fig. 4.
-                first_idx = next(i for i, r in enumerate(records) if r.independent)
-                d_stats.n_redundant_tests += n_exec - 1 - first_idx
-            if recorder is not None:
-                recorder.record_group(task.u, task.v, task.total_tests, records)
-            if accepting is not None:
-                found.setdefault((task.u, task.v), []).append(
-                    (item_rank[id(task)], accepting)
-                )
-                continue  # edge work item finished (independence accepted)
-            if not task.done:
+            batch = pool.pop_many(ROUND_CAP)
+            items = []
+            for task in batch:
+                if materialised is None:
+                    sets = task.next_group(gs)
+                else:
+                    start = task.progress
+                    sets = materialised[rank[id(task)]][start : start + gs]
+                items.append((task.u, task.v, sets))
+            unfinished = []
+            for task, (_, _, sets), results in zip(
+                batch, items, evaluate_groups(tester, items), strict=True
+            ):
+                n_exec = len(sets)
+                task.advance(n_exec)
+                d_stats.n_tests += n_exec
+                d_stats.n_groups += 1
+                if traced is not None:
+                    traced[rank[id(task)]].append(_test_records(task, results, tester))
+                first_idx = next((i for i, r in enumerate(results) if r.independent), -1)
+                if first_idx >= 0:
+                    # Tests executed after the accepting one (within this
+                    # group) are the gs redundancy of Fig. 4.
+                    d_stats.n_redundant_tests += n_exec - 1 - first_idx
+                    found.setdefault((task.u, task.v), []).append(
+                        (rank[id(task)], results[first_idx].s)
+                    )
+                elif not task.done:
+                    unfinished.append(task)
+            # Pushed back lowest rank on top: rounds sweep items in order.
+            for task in reversed(unfinished):
                 pool.push(task)
 
+        if recorder is not None:
+            for task, groups in zip(tasks, traced, strict=True):
+                for records in groups:
+                    recorder.record_group(task.u, task.v, task.total_tests, records)
         # Apply removals (deferred; see module docstring).
         for (u, v), hits in found.items():
             hits.sort(key=lambda pair: pair[0])

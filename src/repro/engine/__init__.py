@@ -5,8 +5,8 @@ blanket call as a cold start: fresh contingency tables, fresh worker pool.
 This subsystem makes runs first-class, reusable objects:
 
 * :class:`SufficientStatsCache` — byte-budgeted LRU of contingency tables
-  keyed by variable tuples, with exact hit/miss/byte counters and
-  marginalization of cached dense tables (see :mod:`.statscache`);
+  keyed by variable tuples, with exact hit/miss/byte counters (see
+  :mod:`.statscache`);
 * :class:`LearningSession` — one dataset + one cache + one long-lived
   worker pool serving ``learn`` / ``relearn`` / ``markov_blanket`` calls;
 * :class:`BatchServer` — request-level layer that fingerprints, dedupes

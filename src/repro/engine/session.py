@@ -263,7 +263,7 @@ class LearningSession:
                 cache_bytes=self.cache_bytes,
                 encoded=self.encoded,
                 use_shm=self.use_shm,
-                arena_hint={"cells": (n, "<i4"), "xygather": (n, "<i4")},
+                arena_hint={"cells": (n, "<i4")},
             )
         return self._pool
 
@@ -397,8 +397,8 @@ class LearningSession:
 
         Blanket queries are prime cache traffic: the grow phase sweeps
         every candidate against the *same* conditioning set (one encoding,
-        many endpoints) and the shrink phase tests subsets of tuples the
-        grow phase already built (served by marginalization).
+        many endpoints) and the shrink phase re-tests tuples the grow phase
+        already built.
         """
         self._check_open()
         if algorithm not in ("iamb", "grow-shrink"):

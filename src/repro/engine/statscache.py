@@ -13,17 +13,17 @@ test parameter.  :class:`SufficientStatsCache` memoizes those tables:
   :func:`repro.citests.contingency.ci_counts`, so hits are bit-identical);
 * a byte-budgeted LRU bounds memory: every ``get`` refreshes recency and
   every ``put`` evicts from the cold end until the budget holds;
-* dense (uncompressed) tables double as *sufficient statistics* for every
-  sub-tuple: a query whose variables form a subset of a cached dense
-  entry's is answered by exact marginalization instead of a data scan
-  (``m``-free — the AD-tree trick, specialised to the PC-stable workload
-  where shrink phases and relearns test subsets of earlier tuples);
+* lookups are exact-key only.  Serving a sub-tuple by marginalizing a
+  cached superset table was tried and removed: at m = 2000 a marginal
+  computed one set at a time costs more than building the table fresh
+  inside a fused batch, and finding the superset took a linear scan
+  under the cache lock on every miss;
 * encoded conditioning-set codes are cached too, so a miss that shares its
   conditioning set with an earlier test (the Markov-blanket grow pattern:
   same ``S``, sweeping ``y``) skips the mixed-radix re-encoding;
 * the batched group kernel lands all tables of one offset-stacked build
-  through :meth:`SufficientStatsCache.put_many` — one lock acquisition and
-  one eviction sweep per group instead of one per table.
+  through :meth:`SufficientStatsCache.fill_many` — one lock acquisition
+  per kernel call instead of one per table.
 
 Hit/miss/eviction/byte counters are exact and feed both
 :class:`~repro.citests.base.CITestCounters` and the Table IV simulated
@@ -39,7 +39,7 @@ from collections.abc import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from ..citests.contingency import ci_counts, encode_columns, marginalize_table
+from ..citests.contingency import ci_counts, encode_columns
 from ..datasets.dataset import DiscreteDataset
 
 __all__ = ["CacheStats", "SufficientStatsCache", "CachedTableBuilder"]
@@ -54,10 +54,6 @@ _PENDING = object()
 
 DEFAULT_BUDGET_BYTES = 64 << 20  # 64 MiB
 
-#: Cap on how many resident tables one superset-marginalization lookup may
-#: scan; keeps the miss path O(1)-ish even with thousands of entries.
-_SUPERSET_SCAN_LIMIT = 256
-
 
 @dataclass(frozen=True)
 class CacheStats:
@@ -65,7 +61,6 @@ class CacheStats:
 
     hits: int
     misses: int
-    marginal_builds: int
     evictions: int
     puts: int
     current_bytes: int
@@ -92,7 +87,6 @@ class CacheStats:
         out = {
             "hits": self.hits,
             "misses": self.misses,
-            "marginal_builds": self.marginal_builds,
             "evictions": self.evictions,
             "puts": self.puts,
             "current_bytes": self.current_bytes,
@@ -117,9 +111,6 @@ class _Entry:
     value: object
     nbytes: int
     kind: str  # "table" | "codes"
-    varset: frozenset[int] | None = None  # variables covered (tables only)
-    dims: tuple[int, ...] = ()  # per-variable arities, entry-key order
-    dense: bool = True  # first axis covers all structural configs
 
 
 def _is_pending(entry: _Entry) -> bool:
@@ -133,8 +124,8 @@ class SufficientStatsCache:
     """Byte-budgeted LRU cache of contingency tables and column encodings.
 
     The cache itself is dataset-agnostic (keys are opaque); binding to a
-    concrete dataset — and the marginalization/encoding reuse logic — lives
-    in :class:`CachedTableBuilder`.  One cache instance may be shared by
+    concrete dataset — and the encoding reuse logic — lives in
+    :class:`CachedTableBuilder`.  One cache instance may be shared by
     any number of testers over the *same* dataset (that invariant is the
     caller's: :class:`~repro.engine.session.LearningSession` owns exactly
     one dataset and one cache).
@@ -159,7 +150,6 @@ class SufficientStatsCache:
         self.current_bytes = 0
         self.hits = 0
         self.misses = 0
-        self.marginal_builds = 0
         self.evictions = 0
         self.puts = 0
         self.spill_stores = 0
@@ -225,24 +215,14 @@ class SufficientStatsCache:
             self.spill_misses += 1
             return None
         self.spill_hits += 1
-        value, nbytes, kind, varset, dims, dense = fields
-        entry = _Entry(value, int(nbytes), kind, varset, tuple(dims), dense)
+        entry = _Entry(*fields)
         self._entries[key] = entry
         self.current_bytes += entry.nbytes
         self.spill_promotes += 1
         self._evict_locked()
         return entry
 
-    def put(
-        self,
-        key: Hashable,
-        value: object,
-        nbytes: int,
-        kind: str = "table",
-        varset: frozenset[int] | None = None,
-        dims: tuple[int, ...] = (),
-        dense: bool = True,
-    ) -> None:
+    def put(self, key: Hashable, value: object, nbytes: int, kind: str = "table") -> None:
         """Insert (or replace) an entry and evict until the budget holds.
 
         An entry larger than the whole budget is not admitted at all —
@@ -250,21 +230,21 @@ class SufficientStatsCache:
         that can never be re-served within budget.
         """
         with self._lock:
-            self._insert_locked(key, value, nbytes, kind, varset, dims, dense)
+            self._insert_locked(key, value, nbytes, kind)
             self._evict_locked()
 
     def put_many(self, entries: Iterable[tuple]) -> None:
         """Bulk insert under one lock acquisition and one eviction sweep.
 
-        ``entries`` holds ``(key, value, nbytes, kind, varset, dims,
-        dense)`` tuples — the :meth:`put` signature.  Deferring eviction
-        to one end-of-batch sweep yields the same final contents and
-        eviction count as per-entry puts (eviction always pops the cold
-        end, and fresh inserts are hottest).
+        ``entries`` holds ``(key, value, nbytes, kind)`` tuples — the
+        :meth:`put` signature.  Deferring eviction to one end-of-batch
+        sweep yields the same final contents and eviction count as
+        per-entry puts (eviction always pops the cold end, and fresh
+        inserts are hottest).
         """
         with self._lock:
-            for key, value, nbytes, kind, varset, dims, dense in entries:
-                self._insert_locked(key, value, nbytes, kind, varset, dims, dense)
+            for key, value, nbytes, kind in entries:
+                self._insert_locked(key, value, nbytes, kind)
             self._evict_locked()
 
     def fill_many(self, items: Iterable[tuple[Hashable, object]]) -> None:
@@ -284,23 +264,14 @@ class SufficientStatsCache:
                 if entry is not None:
                     entry.value = value
 
-    def _insert_locked(
-        self,
-        key: Hashable,
-        value: object,
-        nbytes: int,
-        kind: str,
-        varset: frozenset[int] | None,
-        dims: tuple[int, ...],
-        dense: bool,
-    ) -> None:
+    def _insert_locked(self, key: Hashable, value: object, nbytes: int, kind: str) -> None:
         nbytes = int(nbytes)
         old = self._entries.pop(key, None)
         if old is not None:
             self.current_bytes -= old.nbytes
         if nbytes > self.max_bytes:
             return
-        self._entries[key] = _Entry(value, nbytes, kind, varset, dims, dense)
+        self._entries[key] = _Entry(value, nbytes, kind)
         self.current_bytes += nbytes
         self.puts += 1
 
@@ -313,15 +284,7 @@ class SufficientStatsCache:
                 # Demote instead of drop: the entry lands on disk and a
                 # later lookup promotes it back, bit-identical.  Pending
                 # group reservations are transient and never spill.
-                if self._spill.put(
-                    key,
-                    evicted.value,
-                    evicted.nbytes,
-                    evicted.kind,
-                    evicted.varset,
-                    evicted.dims,
-                    evicted.dense,
-                ):
+                if self._spill.put(key, evicted.value, evicted.nbytes, evicted.kind):
                     self.spill_stores += 1
 
     def discard(self, key: Hashable) -> None:
@@ -341,7 +304,6 @@ class SufficientStatsCache:
         return CacheStats(
             hits=self.hits,
             misses=self.misses,
-            marginal_builds=self.marginal_builds,
             evictions=self.evictions,
             puts=self.puts,
             current_bytes=self.current_bytes,
@@ -356,32 +318,11 @@ class SufficientStatsCache:
             spill_bytes=0 if spill is None else spill["bytes"],
         )
 
-    # ------------------------------------------------------------------ #
-    # superset search (marginalization source)
-    # ------------------------------------------------------------------ #
-    def find_dense_superset(
-        self, want: frozenset[int]
-    ) -> tuple[tuple[int, ...], _Entry] | None:
-        """Most-recently-used dense table whose variables cover ``want``.
-
-        Scans from the hot end (recent entries are the likeliest parents of
-        the current query) and gives up after ``_SUPERSET_SCAN_LIMIT``
-        tables so a miss stays cheap.
-        """
-        scanned = 0
-        with self._lock:
-            for key, entry in reversed(self._entries.items()):
-                if entry.kind != "table":
-                    continue
-                scanned += 1
-                if scanned > _SUPERSET_SCAN_LIMIT:
-                    return None
-                if entry.dense and entry.varset is not None and want <= entry.varset:
-                    # The superset is live traffic: refresh its recency so a
-                    # hot parent table is not evicted in favour of the small
-                    # marginals it keeps spawning.
-                    self._entries.move_to_end(key)
-                    return key, entry  # type: ignore[return-value]
+    def find_dense_superset(self, want: frozenset[int]) -> None:
+        """Always ``None``: superset marginalization was removed (module
+        docstring) and nothing in the package calls this.  It remains only
+        because ``perfbench/spans.py`` traces it by name, and goes when
+        that target does."""
         return None
 
 
@@ -390,14 +331,12 @@ class CachedTableBuilder:
 
     ``ci_counts(x, y, s)`` returns exactly what the uncached tester path
     would compute — ``(counts, nz_structural, from_cache, z_cached,
-    xy_cached)`` — resolving in order: direct key hit, exact
-    marginalization of a cached dense superset, fresh build.  Column
+    xy_cached)`` — from a direct key hit or a fresh build.  Column
     encodings (the ``(x, y)`` cell codes and the conditioning-set codes)
     are themselves cached and only materialised on a table miss, so a hit
     really does touch zero data; the two ``*_cached`` flags report the
     reuse so the work counters bill only the columns actually read.
-    Fresh builds and marginals are inserted back so later queries hit
-    directly.
+    Fresh builds are inserted back so later queries hit directly.
     """
 
     def __init__(
@@ -432,83 +371,47 @@ class CachedTableBuilder:
 
         Returns one of::
 
-            ("hit", (counts, nz_structural))   # resident table (direct or
-                                               # marginalized from a dense
-                                               # resident superset; the
-                                               # marginal is stored)
-            ("pending", src_table_key)         # direct hit on a slot some
-                                               # in-flight group evaluation
-                                               # reserved but has not built
-            ("pending_marg", src_table_key)    # covered by a reserved slot:
-                                               # the marginal's own slot is
-                                               # reserved here, its value
-                                               # arrives with the group fill
+            ("hit", (counts, nz_structural))   # resident table
+            ("pending", src_table_key)         # slot some in-flight group
+                                               # evaluation reserved but
+                                               # has not built yet
             ("miss", None)
 
-        Pending payloads are **full table keys** (tag + variables +
-        endpoints), because the fused multi-group engine can resolve a
-        request against a slot reserved for a *different* endpoint pair —
-        the set-tuple alone no longer identifies the source.
-
-        Successful resolutions count one cache hit (plus one marginal
-        build for the superset cases) and refresh recency, exactly like
-        per-set evaluation; a miss leaves the counters untouched — the
-        caller decides how it is built and accounts it.
+        The pending payload is the **full table key** (tag + variables +
+        endpoints), so the fused multi-group engine can match it against
+        the slots it reserved itself.  Hits and pending hits count one
+        cache hit and refresh recency, exactly like per-set evaluation; a
+        miss leaves the counters untouched — the caller decides how it is
+        built and accounts it.
         """
-        ds = self.dataset
         key = self.table_key(x, y, s)
         entry = self.cache.get(key, count=False)
-        if entry is not None:
-            self.cache.hits += 1
-            value = entry.value
-            if value[0] is _PENDING:  # type: ignore[index]
-                return "pending", key
-            return "hit", value
-
-        want = frozenset(s) | {x, y}
-        found = self.cache.find_dense_superset(want)
-        if found is not None:
-            src_key, src_entry = found
-            self.cache.hits += 1
-            self.cache.marginal_builds += 1
-            if src_entry.value[0] is _PENDING:  # type: ignore[index]
-                # The covering table is this group's own pending build:
-                # reserve the marginal's slot now (the looped path would
-                # store the marginal at this position) and let the group
-                # fill deliver its value.
-                self.reserve(x, y, s)
-                return "pending_marg", src_key
-            rx, ry = ds.arity(x), ds.arity(y)
-            rz = [ds.arity(v) for v in s]
-            counts, nz_structural = self._from_superset(src_key, src_entry, x, y, s, rx, ry, rz)
-            self._store(key, counts, nz_structural, x, y, s, rx, ry, rz, dense=True)
-            return "hit", (counts, nz_structural)
-        return "miss", None
+        if entry is None:
+            return "miss", None
+        self.cache.hits += 1
+        value = entry.value
+        if value[0] is _PENDING:  # type: ignore[index]
+            return "pending", key
+        return "hit", value
 
     def reserve(self, x: int, y: int, s: tuple[int, ...]) -> None:
         """Reserve a dense table's cache slot before its batched build.
 
         The placeholder carries the exact size (``nz * rx * ry`` int64
-        cells — what ``np.bincount`` will produce) and full metadata, so
-        recency, evictions and superset visibility behave exactly as if
-        the looped path had stored the real table at this position.  The
-        value lands later through :meth:`SufficientStatsCache.fill_many`;
-        an oversized reservation is rejected like any oversized put.
+        cells — what ``np.bincount`` will produce), so recency and
+        evictions behave exactly as if the looped path had stored the real
+        table at this position.  The value lands later through
+        :meth:`SufficientStatsCache.fill_many`; an oversized reservation is
+        rejected like any oversized put.
         """
-        ds = self.dataset
-        rx, ry = ds.arity(x), ds.arity(y)
-        rz = tuple(ds.arity(v) for v in s)
+        ar = self.dataset.arity
         nz_structural = 1
-        for a in rz:
-            nz_structural *= int(a)
+        for v in s:
+            nz_structural *= int(ar(v))
         self.cache.put(
             self.table_key(x, y, s),
             (_PENDING, nz_structural),
-            nz_structural * rx * ry * 8,
-            kind="table",
-            varset=frozenset(s) | {x, y},
-            dims=rz + (rx, ry),
-            dense=True,
+            nz_structural * ar(x) * ar(y) * 8,
         )
 
     def discard_pending(self, x: int, y: int, sets: Sequence[tuple[int, ...]]) -> None:
@@ -523,49 +426,6 @@ class CachedTableBuilder:
             entry = self.cache._entries.get(key)
             if entry is not None and entry.value[0] is _PENDING:  # type: ignore[index]
                 self.cache.discard(key)
-
-    def compute_marginal(
-        self,
-        x: int,
-        y: int,
-        src_s: tuple[int, ...],
-        src_counts: np.ndarray,
-        s: tuple[int, ...],
-    ) -> tuple[np.ndarray, int]:
-        """Marginal of an in-group dense table down to ``(s, x, y)``
-        (source shares the endpoints; see :meth:`marginal_from_key`)."""
-        return self.marginal_from_key(self.table_key(x, y, src_s), src_counts, x, y, s)
-
-    def marginal_from_key(
-        self,
-        src_key: tuple,
-        src_counts: np.ndarray,
-        x: int,
-        y: int,
-        s: tuple[int, ...],
-    ) -> tuple[np.ndarray, int]:
-        """Marginal of a dense table (named by its full key) down to
-        ``(s, x, y)``.
-
-        The source may come from *any* endpoint pair — the fused
-        multi-group engine marginalizes across groups, where the covering
-        table's endpoints ``(x', y')`` differ from the query's.  Pure
-        computation: hit/marginal accounting and the slot reservation
-        already happened in :meth:`lookup` at planning time.
-        """
-        ds = self.dataset
-        rx, ry = ds.arity(x), ds.arity(y)
-        rz = [ds.arity(v) for v in s]
-        src_vars = src_key[1:]  # strip the "t" tag: conditioning vars + endpoints
-        entry = _Entry(
-            value=(src_counts, 0),
-            nbytes=src_counts.nbytes,
-            kind="table",
-            varset=frozenset(src_vars),
-            dims=tuple(ds.arity(v) for v in src_vars),
-            dense=True,
-        )
-        return self._from_superset(src_key, entry, x, y, s, rx, ry, rz)
 
     def ci_counts(
         self,
@@ -587,10 +447,10 @@ class CachedTableBuilder:
             if status == "hit":
                 counts, nz_structural = payload  # type: ignore[misc]
                 return counts, nz_structural, True, True, True
-            # "pending"/"pending_marg" outside a group evaluation can only
-            # be a stale placeholder from an aborted group that escaped
-            # cleanup: fall through and rebuild — the store below replaces
-            # the placeholder, self-healing the slot.
+            # "pending" outside a group evaluation can only be a stale
+            # placeholder from an aborted group that escaped cleanup: fall
+            # through and rebuild — the put below replaces the placeholder,
+            # self-healing the slot.
 
         self.cache.misses += 1
         z_cached = False
@@ -600,7 +460,7 @@ class CachedTableBuilder:
         xy_cached = xy_codes is not None  # caller already paid for them
         if xy_codes is None:
             xy_codes, xy_cached = self.encoded_xy(x, y, ry)
-        counts, nz_structural, dense = ci_counts(
+        counts, nz_structural, _dense = ci_counts(
             ds.column(x),
             ds.column(y),
             ds.columns(s) if z_codes is None else [],
@@ -611,63 +471,8 @@ class CachedTableBuilder:
             xy_codes=xy_codes,
             z_codes=z_codes,
         )
-        self._store(
-            self.table_key(x, y, s), counts, nz_structural, x, y, s, rx, ry, rz, dense=dense
-        )
+        self.cache.put(self.table_key(x, y, s), (counts, nz_structural), counts.nbytes)
         return counts, nz_structural, False, z_cached, xy_cached
-
-
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-    def _store(
-        self,
-        key: tuple,
-        counts: np.ndarray,
-        nz_structural: int,
-        x: int,
-        y: int,
-        s: tuple[int, ...],
-        rx: int,
-        ry: int,
-        rz: list[int],
-        dense: bool,
-    ) -> None:
-        self.cache.put(
-            key,
-            (counts, nz_structural),
-            counts.nbytes,
-            kind="table",
-            varset=frozenset(s) | {x, y},
-            dims=tuple(rz) + (rx, ry),
-            dense=dense,
-        )
-
-    def _from_superset(
-        self,
-        src_key: tuple,
-        entry: _Entry,
-        x: int,
-        y: int,
-        s: tuple[int, ...],
-        rx: int,
-        ry: int,
-        rz: list[int],
-    ) -> tuple[np.ndarray, int]:
-        """Marginalize a cached dense joint down to the requested tuple.
-
-        The source key's variable order *is* its axis order (conditioning
-        vars then endpoints), so axis positions come straight from the key.
-        """
-        src_vars = src_key[1:]  # strip the "t" tag
-        pos = {v: i for i, v in enumerate(src_vars)}
-        keep = [pos[v] for v in s] + [pos[x], pos[y]]
-        table, _src_nz = entry.value  # type: ignore[misc]
-        marg = marginalize_table(table, entry.dims, keep)
-        nz_structural = 1
-        for a in rz:
-            nz_structural *= int(a)
-        return marg.reshape(nz_structural, rx, ry), nz_structural
 
     def encoded_z(self, s: tuple[int, ...], rz: Sequence[int]) -> tuple[np.ndarray, bool]:
         """Pre-compression mixed-radix codes of the conditioning columns,

@@ -14,6 +14,11 @@ process-local key index (loaded once at attach) keeps the probe on the
 miss path an O(1) set lookup — SQLite is only touched when the key is
 actually there, so a cold stream pays nothing for having a spill tier.
 
+A row is the pickled ``(value, nbytes, kind)`` triple.  Rows written
+before the stats cache dropped superset marginalization carry three more
+fields (``varset, dims, dense``); :meth:`SpillTier.get` still promotes
+them, reading only the leading triple.
+
 Only real values spill: the batched group kernel's transient ``_PENDING``
 reservation placeholders are dropped on eviction exactly as before (their
 identity-based sentinel would not survive a pickle round trip, and they
@@ -80,25 +85,13 @@ class SpillTier:
     # ------------------------------------------------------------------ #
     # demote / promote
     # ------------------------------------------------------------------ #
-    def put(
-        self,
-        key,
-        value,
-        nbytes: int,
-        kind: str,
-        varset,
-        dims,
-        dense: bool,
-    ) -> bool:
+    def put(self, key, value, nbytes: int, kind: str) -> bool:
         """Persist one evicted entry; returns False when not admitted."""
         nbytes = int(nbytes)
         if nbytes > self.max_bytes or not self.db.active:
             return False
         kt = self.key_text(key)
-        blob = pickle.dumps(
-            (value, nbytes, kind, varset, dims, dense),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        blob = pickle.dumps((value, nbytes, kind), protocol=pickle.HIGHEST_PROTOCOL)
         with self._lock:
             self.db.execute(
                 "INSERT OR REPLACE INTO spill(dataset_fp, key, blob, nbytes, last_used)"
@@ -116,10 +109,11 @@ class SpillTier:
     def get(self, key):
         """Fetch one spilled entry's fields, refreshing its recency.
 
-        Returns the ``(value, nbytes, kind, varset, dims, dense)`` tuple
-        the eviction stored, or ``None`` — missing rows and undecodable
-        blobs both read as a miss (and drop from the index), so a damaged
-        spill row costs one rebuild, never a crash.
+        Returns the ``(value, nbytes, kind)`` triple the eviction stored,
+        or ``None`` — missing rows and blobs that do not decode to such a
+        triple (or to an older six-field row, module docstring) both read
+        as a miss and drop from the index, so a damaged spill row costs
+        one rebuild, never a crash.
         """
         kt = self.key_text(key)
         with self._lock:
@@ -134,6 +128,10 @@ class SpillTier:
                 return None
             try:
                 fields = pickle.loads(rows[0][0])
+                if not isinstance(fields, tuple) or len(fields) not in (3, 6):
+                    raise ValueError("malformed spill row")
+                value, nbytes, kind = fields[:3]
+                fields = (value, int(nbytes), str(kind))
             except Exception:
                 self.n_blob_errors += 1
                 self.db.execute(

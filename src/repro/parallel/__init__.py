@@ -94,7 +94,7 @@ def run_parallel_skeleton(
             arena_hint = gs.arena_hint(dataset.n_samples)
         else:
             n = min(max(int(gs), 1) * 4 * max(dataset.n_samples, 1), 1 << 24)
-            arena_hint = {"cells": (n, "<i4"), "xygather": (n, "<i4")}
+            arena_hint = {"cells": (n, "<i4")}
     with WorkerPool(
         dataset,
         n_jobs,

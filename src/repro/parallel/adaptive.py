@@ -223,17 +223,17 @@ class AdaptiveGroupScheduler:
     def arena_hint(self, n_samples: int, chunk_groups: int = 4) -> dict:
         """Kernel-arena prewarm hint derived from the live bucket mix.
 
-        Sizes the fused kernel's big per-worker buffers (cell matrix and
-        endpoint gather, see :mod:`repro.citests.tablebase`) for a dispatch
-        chunk of ``chunk_groups`` groups at the largest group size any
-        bucket currently runs.  Purely an allocation warm-up: a wrong hint
-        costs at most a few buffer growth copies, never correctness.
+        Sizes the fused kernel's big per-worker buffer (the cell matrix,
+        see :mod:`repro.citests.tablebase`) for a dispatch chunk of
+        ``chunk_groups`` groups at the largest group size any bucket
+        currently runs.  Purely an allocation warm-up: a wrong hint costs
+        at most a few buffer growth copies, never correctness.
         """
         rows = max((s.gs for s in self.buckets.values()), default=self.seed_gs)
         n = min(rows * chunk_groups * max(int(n_samples), 1), 1 << 24)
         # "<i4" matches the common cell dtype (wave histograms stay well
         # under 2^31 cells); larger waves grow an int64 slot on demand.
-        return {"cells": (n, "<i4"), "xygather": (n, "<i4")}
+        return {"cells": (n, "<i4")}
 
     def summary(self) -> dict:
         """Aggregate + per-bucket counters (diagnostics, benches, tests)."""

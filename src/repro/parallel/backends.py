@@ -44,7 +44,7 @@ from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from functools import partial
 from collections.abc import Sequence
 
-from ..citests.base import ConditionalIndependenceTest
+from ..citests.base import ConditionalIndependenceTest, evaluate_groups
 from ..datasets.dataset import DiscreteDataset
 
 __all__ = ["WorkerPool", "GroupJob", "EdgeJob"]
@@ -121,19 +121,9 @@ def _eval_group(job: GroupJob, alpha: float | None = None) -> list[bool]:
 
 
 def _verdicts(tester, jobs: Sequence[GroupJob], alpha: float | None) -> list[list[bool]]:
-    """Evaluate a chunk of group jobs on one tester, fused when possible.
-
-    Testers exposing ``test_groups`` get the whole chunk in one call — the
-    megagroup kernel then fuses table builds *across* the chunk's edges
-    (same per-set results, fewer kernel invocations).  Testers without it
-    (the naive baseline) fall back to per-job ``test_group``.
-    """
-    items = [(u, v, list(sets)) for u, v, sets in jobs]
-    grouped = getattr(tester, "test_groups", None)
-    if grouped is not None:
-        per_job = grouped(items)
-    else:
-        per_job = [tester.test_group(u, v, sets) for u, v, sets in items]
+    """Evaluate a chunk of group jobs on one tester (fused when possible,
+    see :func:`~repro.citests.base.evaluate_groups`)."""
+    per_job = evaluate_groups(tester, [(u, v, list(sets)) for u, v, sets in jobs])
     if alpha is not None and alpha != tester.alpha:
         return [[r.p_value > alpha for r in results] for results in per_job]
     return [[r.independent for r in results] for results in per_job]

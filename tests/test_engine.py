@@ -16,7 +16,7 @@ import pytest
 
 from repro.citests.base import CITestCounters
 from repro.citests.chisquare import ChiSquareTest
-from repro.citests.contingency import ci_counts, contingency_table, marginalize_table
+from repro.citests.contingency import ci_counts
 from repro.citests.gsquare import GSquareTest
 from repro.cli import main
 from repro.core.learn import learn_structure
@@ -79,14 +79,13 @@ class TestLRUBudget:
         the equivalent sequence of single puts (eviction is deferred to
         one end-of-batch sweep, which cannot change the surviving set)."""
         entries = [
-            (("t", i), self._table(300), 300, "table", frozenset({i}), (i,), True)
-            for i in range(6)
+            (("t", i), self._table(300), 300, "table") for i in range(6)
         ]
         bulk = SufficientStatsCache(max_bytes=1000)
         bulk.put_many(entries)
         seq = SufficientStatsCache(max_bytes=1000)
-        for key, value, nbytes, kind, varset, dims, dense in entries:
-            seq.put(key, value, nbytes, kind=kind, varset=varset, dims=dims, dense=dense)
+        for key, value, nbytes, kind in entries:
+            seq.put(key, value, nbytes, kind=kind)
         assert list(bulk._entries) == list(seq._entries)
         assert bulk.current_bytes == seq.current_bytes
         assert (bulk.puts, bulk.evictions) == (seq.puts, seq.evictions)
@@ -115,12 +114,11 @@ class TestExactCounters:
         builder.ci_counts(0, 1, (2, 3))
         assert (cache.hits, cache.misses) == (2, 3)
         # A query introducing an uncovered variable is a genuine miss.
-        before = cache.marginal_builds
         counts, nz, from_cache, *_ = builder.ci_counts(0, 4, (5,))
         assert not from_cache and cache.misses == 4
-        # Subset of a cached dense table: marginalization hit, not a scan.
+        # Lookups are exact-key: a subset of a cached table is a miss too.
         counts2, nz2, from_cache2, *_ = builder.ci_counts(2, 3, ())
-        assert from_cache2 and cache.marginal_builds == before + 1
+        assert not from_cache2 and (cache.hits, cache.misses) == (2, 5)
 
     def test_tester_counters_split_hits_and_misses(self, asia_data):
         cache = SufficientStatsCache()
@@ -166,7 +164,7 @@ class TestBitIdentical:
                 (x, y, (rest[0],)),
                 (x, y, (rest[0], rest[1])),
                 (x, y, (rest[0],)),  # repeat: direct hit
-                (x, y, ()),  # subset of cached superset: marginal hit
+                (x, y, ()),  # repeat: direct hit
             ]
         for x, y, s in queries:
             a = plain.test(x, y, s)
@@ -176,14 +174,16 @@ class TestBitIdentical:
             assert a.dof == b.dof and a.independent == b.independent
         assert cached.counters.cache_hits > 0
 
-    def test_marginal_path_bit_identical(self, asia_data):
-        """A table served by marginalizing a cached superset must equal the
-        freshly built one byte for byte."""
+    def test_subset_query_builds_fresh(self, asia_data):
+        """A sub-tuple of a cached table is built from the data (lookups
+        are exact-key) and equals the uncached table byte for byte; its
+        repeat is then a direct hit."""
         cache = SufficientStatsCache()
         builder = CachedTableBuilder(asia_data, cache)
         builder.ci_counts(0, 1, (2, 3, 4))
         counts, nz, from_cache, *_ = builder.ci_counts(2, 4, (3,))
-        assert from_cache and cache.marginal_builds == 1
+        assert not from_cache and (cache.hits, cache.misses) == (0, 2)
+        assert builder.ci_counts(2, 4, (3,))[2] and cache.hits == 1
         direct, nz_direct, _ = ci_counts(
             asia_data.column(2),
             asia_data.column(4),
@@ -238,38 +238,6 @@ class TestBitIdentical:
         ref2 = learn_structure(asia_data, method="fast-bns", alpha=0.01)
         assert sorted(got.cpdag.directed_edges()) == sorted(ref.cpdag.directed_edges())
         assert sorted(got2.cpdag.directed_edges()) == sorted(ref2.cpdag.directed_edges())
-
-
-# --------------------------------------------------------------------- #
-# marginalize_table
-# --------------------------------------------------------------------- #
-class TestMarginalize:
-    def test_matches_brute_force(self, rng):
-        dims = (2, 3, 4, 2)
-        table = rng.integers(0, 10, size=dims)
-        out = marginalize_table(table, dims, keep=[2, 0])
-        expected = table.sum(axis=(1, 3)).transpose(1, 0)
-        np.testing.assert_array_equal(out, expected)
-
-    def test_keep_all_is_permutation(self, rng):
-        dims = (2, 3, 4)
-        table = rng.integers(0, 10, size=dims)
-        out = marginalize_table(table, dims, keep=[2, 1, 0])
-        np.testing.assert_array_equal(out, table.transpose(2, 1, 0))
-
-    def test_roundtrip_against_contingency_table(self, asia_data):
-        """Marginalizing the (z, x, y) joint down to (x, y) equals the
-        depth-0 contingency table."""
-        x, y, z = 0, 1, 2
-        rx, ry, rz = (asia_data.arity(v) for v in (x, y, z))
-        joint, _ = contingency_table(
-            asia_data.column(x), asia_data.column(y), [asia_data.column(z)], rx, ry, [rz]
-        )
-        flat = marginalize_table(joint, (rz, rx, ry), keep=[1, 2])
-        direct, _ = contingency_table(
-            asia_data.column(x), asia_data.column(y), [], rx, ry, []
-        )
-        np.testing.assert_array_equal(flat, direct[0])
 
 
 # --------------------------------------------------------------------- #

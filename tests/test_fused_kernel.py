@@ -3,7 +3,8 @@
 Covers the megagroup engine introduced with the kernel arena:
 
 * :class:`repro.citests.arena.KernelArena` — view reuse, geometric growth,
-  prewarm sizing, pickle severing;
+  prewarm sizing, pickle severing, and the per-thread arena testers use
+  when built without one;
 * cross-group fusion (``test_groups``) — bit-identical to the looped
   per-set oracle, including counters, cache statistics, duplicate edges
   and depth-0 sets;
@@ -22,11 +23,12 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from repro.citests.arena import KernelArena
+from repro.citests.arena import KernelArena, thread_arena
 from repro.citests.chisquare import ChiSquareTest
 from repro.citests.contingency import code_dtype, encode_columns, fused_cell_counts
 from repro.citests.gsquare import GSquareTest
@@ -167,6 +169,103 @@ class TestKernelArena:
         for _ in range(3):
             t.test_groups(groups)
         assert t.arena.n_grows == warm_grows  # zero large allocations
+
+
+def _in_thread(fn):
+    """Run ``fn`` on a fresh thread (a fresh thread arena); return its value."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join()
+    return out[0]
+
+
+class TestThreadArena:
+    def test_sessions_on_one_thread_share_its_arena(self, asia_data):
+        from repro.engine import LearningSession
+
+        def run():
+            with LearningSession(asia_data) as s1, LearningSession(asia_data) as s2:
+                s1.learn()
+                s2.learn()
+                return s1.tester().arena, s2.tester().arena, thread_arena()
+
+        a1, a2, own = _in_thread(run)
+        assert a1 is a2 is own
+        assert own.n_takes > 0
+
+    def test_one_tester_two_threads_two_arenas(self, asia_data):
+        rng = np.random.default_rng(3)
+        groups = _random_groups(rng, asia_data.n_variables, n_groups=4)
+        tester = GSquareTest(asia_data)
+
+        def run():
+            tester.test_groups(groups)
+            return tester.arena, thread_arena().n_takes
+
+        first, takes1 = _in_thread(run)
+        second, takes2 = _in_thread(run)
+        assert first is not second
+        assert takes1 > 0 and takes2 > 0
+
+    def test_concurrent_calls_on_one_tester_match_sequential(self, asia_data):
+        # More threads than cores, forced frequent switches: each call
+        # takes its own thread's scratch, so interleaved kernels never
+        # overwrite one another's buffers.
+        rng = np.random.default_rng(9)
+        groups = _random_groups(rng, asia_data.n_variables, n_groups=12)
+        tester = GSquareTest(asia_data)
+        want = _in_thread(lambda: tester.test_groups(groups))
+        got: list = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda: got.extend(tester.test_groups(groups) for _ in range(5))
+                )
+                for _ in range(4)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == 20
+        for results in got:
+            for ref, group in zip(want, results, strict=True):
+                _assert_identical(ref, group)
+
+    def test_explicit_arena_wins(self, asia_data):
+        arena = KernelArena()
+        assert GSquareTest(asia_data, arena=arena).arena is arena
+
+    def test_arena_bytes_flat_in_live_sessions(self):
+        from repro.datasets.sampling import forward_sample
+        from repro.engine import LearningSession
+        from repro.networks.catalog import get_network
+
+        data = forward_sample(get_network("alarm"), 1000, rng=2)
+
+        def run():
+            sizes = []
+            sessions = []
+            try:
+                for _ in range(4):
+                    sessions.append(LearningSession(data))
+                    sessions[-1].learn()
+                    arenas = {id(s.tester().arena): s.tester().arena for s in sessions}
+                    sizes.append(sum(a.nbytes() for a in arenas.values()))
+            finally:
+                for sess in sessions:
+                    sess.close()
+            return sizes
+
+        sizes = _in_thread(run)
+        assert sizes[0] > 0
+        assert sizes == [sizes[0]] * 4
 
 
 # ---------------------------------------------------------------------- #

@@ -211,13 +211,12 @@ class TestSpillTier:
         db = StoreDB(tmp_path / "s.sqlite")
         tier = SpillTier(db, "fp", max_bytes=1 << 20)
         value = np.arange(6)
-        assert tier.put((1, 2), value, 48, "table", frozenset({1, 2}), (2, 3), True)
+        assert tier.put((1, 2), value, 48, "table")
         assert tier.has((1, 2)) and not tier.has((9,))
         got = tier.get((1, 2))
         assert got is not None
-        v, nbytes, kind, varset, dims, dense = got
+        v, nbytes, kind = got
         assert list(v) == list(value) and nbytes == 48 and kind == "table"
-        assert varset == frozenset({1, 2}) and dims == (2, 3) and dense
         # A fresh tier over the same DB sees the same keys (restart warmth).
         tier2 = SpillTier(db, "fp", max_bytes=1 << 20)
         assert tier2.has((1, 2)) and tier2.current_bytes == 48
@@ -227,18 +226,18 @@ class TestSpillTier:
         db = StoreDB(tmp_path / "s.sqlite")
         tier = SpillTier(db, "fp", max_bytes=200)
         for i in range(5):
-            tier.put(("k", i), i, 64, "table", None, (), True)
+            tier.put(("k", i), i, 64, "table")
         assert tier.current_bytes <= 200
         assert not tier.has(("k", 0))  # oldest demoted off the end
         assert tier.has(("k", 4))
         # Oversized entries are refused outright.
-        assert not tier.put("big", 0, 10_000, "table", None, (), True)
+        assert not tier.put("big", 0, 10_000, "table")
         db.close()
 
     def test_damaged_row_reads_as_miss(self, tmp_path):
         db = StoreDB(tmp_path / "s.sqlite")
         tier = SpillTier(db, "fp", max_bytes=1 << 20)
-        tier.put("k", 1, 8, "table", None, (), True)
+        tier.put("k", 1, 8, "table")
         db.execute(
             "UPDATE spill SET blob=? WHERE dataset_fp='fp'", (b"\x80broken",)
         )
@@ -246,11 +245,37 @@ class TestSpillTier:
         assert not tier.has("k")  # dropped from the index too
         db.close()
 
+    def test_six_field_rows_promote_and_malformed_rows_miss(self, tmp_path):
+        # Rows written before the cache dropped superset marginalization
+        # carry (value, nbytes, kind, varset, dims, dense); they still
+        # promote.  Any other shape reads as a miss and leaves the index.
+        db = StoreDB(tmp_path / "s.sqlite")
+        rows = {
+            "old": (np.arange(6), 48, "table", frozenset({1, 2}), (2, 3), True),
+            "short": (np.arange(6), 48),
+            "scalar": 7,
+            "bad-size": (np.arange(6), "many", "table"),
+        }
+        for key, fields in rows.items():
+            db.execute(
+                "INSERT INTO spill(dataset_fp, key, blob, nbytes, last_used)"
+                " VALUES (?,?,?,?,?)",
+                ("fp", SpillTier.key_text(key), pickle.dumps(fields), 48, 0.0),
+            )
+        tier = SpillTier(db, "fp", max_bytes=1 << 20)
+        value, nbytes, kind = tier.get("old")
+        assert list(value) == list(range(6)) and (nbytes, kind) == (48, "table")
+        for key in ("short", "scalar", "bad-size"):
+            assert tier.get(key) is None
+            assert not tier.has(key)
+        assert tier.n_blob_errors == 3
+        db.close()
+
     def test_namespaced_by_dataset(self, tmp_path):
         db = StoreDB(tmp_path / "s.sqlite")
         a = SpillTier(db, "fpA", max_bytes=1 << 20)
         b = SpillTier(db, "fpB", max_bytes=1 << 20)
-        a.put("k", "from-a", 8, "table", None, (), True)
+        a.put("k", "from-a", 8, "table")
         assert not b.has("k")
         assert b.get("k") is None
         db.close()
@@ -261,7 +286,7 @@ class TestStatsCacheSpill:
         store = EngineStore(tmp_path / "s.sqlite")
         cache = SufficientStatsCache(max_bytes=256, spill=store.spill_tier("fp"))
         for i in range(10):
-            cache.put(("k", i), np.arange(8) + i, 64, "table", frozenset({i}), (8,), True)
+            cache.put(("k", i), np.arange(8) + i, 64, "table")
         st = cache.stats()
         assert st.spill_enabled and st.spill_stores > 0
         # The demoted entry comes back bit-identical and counts as a hit.
@@ -274,12 +299,40 @@ class TestStatsCacheSpill:
         assert doc["spill"]["stores"] == st.spill_stores
         store.close()
 
+    def test_session_restarts_over_six_field_rows(self, tmp_path):
+        # A store whose spill rows carry the older six-field layout: a
+        # restarted session promotes them and answers exactly as before.
+        path = str(tmp_path / "s.sqlite")
+        data = _make_data(k=6)
+        targets = ["v1", "v3", "v4"]
+        with LearningSession(data, store=path, cache_bytes=512) as s1:
+            want = [s1.markov_blanket(t).blanket for t in targets]
+            s1.learn()  # its tables push the blanket tables out to disk
+            assert s1.cache_stats().spill_stores > 0
+        con = sqlite3.connect(path)
+        rows = con.execute("SELECT dataset_fp, key, blob FROM spill").fetchall()
+        assert rows
+        for dataset_fp, key, blob in rows:
+            old = pickle.loads(blob) + (frozenset(), (), True)
+            con.execute(
+                "UPDATE spill SET blob=? WHERE dataset_fp=? AND key=?",
+                (pickle.dumps(old), dataset_fp, key),
+            )
+        con.commit()
+        con.close()
+        with LearningSession(data, store=path, cache_bytes=512) as s2:
+            got = [s2.markov_blanket(t).blanket for t in targets]
+            st = s2.cache_stats()
+            blob_errors = s2.store.spill_tier(s2.fingerprint).n_blob_errors
+        assert got == want
+        assert st.spill_promotes > 0 and blob_errors == 0
+
     def test_pending_reservations_never_spill(self, tmp_path):
         store = EngineStore(tmp_path / "s.sqlite")
         cache = SufficientStatsCache(max_bytes=128, spill=store.spill_tier("fp"))
-        cache.put("pending", (_PENDING, "slot"), 64, "table", None, (), True)
-        cache.put("real-a", 1, 64, "table", None, (), True)
-        cache.put("real-b", 2, 64, "table", None, (), True)  # evicts "pending"
+        cache.put("pending", (_PENDING, "slot"), 64, "table")
+        cache.put("real-a", 1, 64, "table")
+        cache.put("real-b", 2, 64, "table")  # evicts "pending"
         assert cache.get("pending", count=False) is None
         assert not store.spill_tier("fp").has("pending")
         store.close()
