@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import NamedTuple, Protocol, runtime_checkable
 
-__all__ = ["CITestResult", "CITestCounters", "ConditionalIndependenceTest", "evaluate_groups"]
+__all__ = [
+    "CITestResult",
+    "CITestCounters",
+    "ConditionalIndependenceTest",
+    "evaluate_groups",
+    "evaluate_prefix",
+    "group_prefix",
+]
 
 
 class CITestResult(NamedTuple):
@@ -148,3 +155,42 @@ def evaluate_groups(
     if grouped is not None:
         return grouped(items)
     return [tester.test_group(x, y, sets) for x, y, sets in items]
+
+
+def evaluate_prefix(
+    tester: ConditionalIndependenceTest,
+    items: Sequence[tuple[int, int, Sequence[Sequence[int]]]],
+    gs: int,
+) -> list[list[CITestResult]]:
+    """Evaluate each item's consecutive ``gs``-groups up to its first accept.
+
+    Per item, the returned results cover every group up to and including
+    the first one holding an accepting set — exactly what evaluating the
+    groups one at a time and stopping at the first accept would return.
+    Testers exposing ``test_groups`` evaluate all groups of all items in
+    one ``test_groups(items, prefix=gs)`` call and discard the rest
+    without a trace; the others run one ``test_group`` per group and stop
+    at the first accept.
+    """
+    grouped = getattr(tester, "test_groups", None)
+    if grouped is not None:
+        return grouped(items, prefix=gs)
+    return [group_prefix(tester.test_group, x, y, sets, gs) for x, y, sets in items]
+
+
+def group_prefix(
+    test_group: Callable[[int, int, Sequence[Sequence[int]]], list[CITestResult]],
+    x: int,
+    y: int,
+    sets: Sequence[Sequence[int]],
+    gs: int,
+) -> list[CITestResult]:
+    """One ``test_group`` call per ``gs``-group of ``sets``, stopping after
+    the first group that holds an accepting set (nothing is discarded)."""
+    kept: list[CITestResult] = []
+    for b in range(0, len(sets), gs):
+        res = test_group(x, y, sets[b : b + gs])
+        kept.extend(res)
+        if any(r.independent for r in res):
+            break
+    return kept

@@ -78,8 +78,10 @@ class MutualInformationTest:
     def test_group(self, x: int, y: int, sets: Sequence[Sequence[int]]) -> list[CITestResult]:
         return [self._decide(r) for r in self._g2.test_group(x, y, sets)]
 
-    def test_groups(self, items) -> list[list[CITestResult]]:
-        return [[self._decide(r) for r in group] for group in self._g2.test_groups(items)]
+    def test_groups(self, items, prefix: int | None = None) -> list[list[CITestResult]]:
+        # The kept prefix must follow this tester's decisions, not G^2's.
+        decide = None if self.mode == "pvalue" else self._decide
+        return self._g2.test_groups(items, prefix=prefix, decide=decide)
 
     @property
     def arena(self):

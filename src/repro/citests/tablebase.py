@@ -32,14 +32,27 @@ Two group-evaluation paths, bit-identical by construction and by test:
 
   ``test_group`` is the single-group spelling of the same engine.
   Compressed-Z sets (structural ``nz`` beyond ``compress_threshold * m``)
-  fall back to the looped path.  With a stats cache attached, planning
-  walks groups and sets in order resolving hits and *reserving* exact-size
-  slots for the misses (so LRU recency, evictions and hit/miss counters
-  replay the looped event sequence bit-for-bit), then the waves build and
-  fill the surviving slots in bulk.  Because pending slots are tracked by
-  full table key, duplicate resolution works *across* the fused groups,
-  exactly as a looped pass over the same (group, set) stream would have
-  hit them.
+  are built one at a time through the pure :func:`ci_counts`.
+
+  A fused call runs in three stages:
+
+  - **plan** has no side effects: with a stats cache attached it reads
+    resident tables and codes without recency or counter changes, and
+    encodes absent codes fresh;
+  - **build** evaluates every planned set — resident dense tables are
+    copied into their wave's histogram, so one stacked reduction scores
+    hits and fresh builds alike;
+  - **commit** keeps, per item, either every set or (``prefix=gs``, the
+    skeleton's speculative rounds) the groups up to and including the
+    first accepting one, and bills only those: work counters, and with a
+    cache every event a one-set-at-a-time evaluation would make — table
+    lookup, codes fetch-or-insert, reservation, fill — replayed in the
+    order of the one-group rounds under one cache-lock acquisition
+    (:meth:`~repro.engine.statscache.CachedTableBuilder.commit`).  LRU
+    recency, evictions, spill traffic and hit/miss counters therefore
+    match the looped event sequence bit for bit, and discarded sets
+    leave no trace.  An exception before the commit leaves the cache and
+    the counters as they were.
 
 All large scratch lives in a :class:`~repro.citests.arena.KernelArena`
 (the calling thread's process-wide one by default; workers share one per
@@ -55,7 +68,7 @@ deliberately *not* credited — see its module docstring.
 from __future__ import annotations
 
 from itertools import repeat
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 from scipy.special import gammaincc
@@ -63,7 +76,7 @@ from scipy.special import gammaincc
 from ..datasets.dataset import DiscreteDataset
 from ..datasets.encoded import EncodedDataset
 from .arena import KernelArena, thread_arena
-from .base import CITestCounters, CITestResult
+from .base import CITestCounters, CITestResult, group_prefix
 from .contingency import ci_counts, fused_cell_counts, n_configurations
 from .native import native_available
 
@@ -148,22 +161,44 @@ class _Scratch:
         return self._arena.take("ew_" + key, shape, np.bool_)
 
 
-class _FusedEntry:
-    """One dense (set, group) pair awaiting a wave build."""
+class _Job:
+    """One planned conditioning set of one group.
 
-    __slots__ = ("g", "i", "s", "rz", "nz", "cells", "z1d", "z_flag", "xy_flag", "offset")
+    ``dense`` jobs are scored in waves — built there, or copied in when
+    their table was resident in the stats cache as the call planned;
+    compressed-Z jobs are scored one at a time.  After the build,
+    ``table`` holds ``(counts, nz_structural)`` on the cache path and
+    ``cells``/``logs`` the work the test bills when it commits.
+    """
 
-    def __init__(self, g, i, s, rz, nz, cells, z1d, z_flag, xy_flag):
+    __slots__ = ("g", "i", "s", "rz", "nz", "cells", "dense", "z1d", "table", "logs", "offset")
+
+    def __init__(self, g, i, s, rz, nz, cells, dense):
         self.g = g
         self.i = i
         self.s = s
         self.rz = rz
         self.nz = nz
         self.cells = cells
-        self.z1d = z1d
-        self.z_flag = z_flag
-        self.xy_flag = xy_flag
+        self.dense = dense
+        self.z1d = None
+        self.table = None
+        self.logs = 0
         self.offset = 0
+
+
+def _runs(jobs: list[_Job]) -> list[tuple[int, int, int]]:
+    """``(start, stop, group)`` spans of consecutive jobs of one group."""
+    runs = []
+    b, n = 0, len(jobs)
+    while b < n:
+        g = jobs[b].g
+        c = b + 1
+        while c < n and jobs[c].g == g:
+            c += 1
+        runs.append((b, c, g))
+        b = c
+    return runs
 
 
 class ContingencyTableTest:
@@ -322,19 +357,13 @@ class ContingencyTableTest:
         sets = [tuple(map(int, s)) for s in sets]
         if not self.batch_groups or len(sets) < 2:
             return self._test_group_looped(x, y, sets)
-        try:
-            return self._test_groups_fused([(x, y, sets)])[0]
-        except BaseException:
-            # Abort mid-group (interrupt, allocation failure, ...): drop
-            # any reserved-but-unfilled cache slots so the shared cache is
-            # not left with pending placeholders that later lookups would
-            # trip over.
-            if self._builder is not None:
-                self._builder.discard_pending(x, y, sets)
-            raise
+        return self._test_groups_fused([(x, y, sets)], None, None)[0]
 
     def test_groups(
-        self, items: Sequence[tuple[int, int, Sequence[Sequence[int]]]]
+        self,
+        items: Sequence[tuple[int, int, Sequence[Sequence[int]]]],
+        prefix: int | None = None,
+        decide: Callable[[CITestResult], CITestResult] | None = None,
     ) -> list[list[CITestResult]]:
         """Evaluate many endpoint groups through one fused kernel pass.
 
@@ -343,6 +372,16 @@ class ContingencyTableTest:
         ``test_group`` calls (and therefore the looped oracle) would have
         produced — cross-group fusion changes kernel invocation counts,
         never values or cache/counter semantics.
+
+        ``prefix=gs`` reads each item's sets as consecutive ``gs``-groups
+        and keeps, per item, every group up to and including the first
+        one holding an accepting set; the later groups are evaluated but
+        discarded without a trace (no counter, cache event or result).
+        Counters and cache events of the kept groups are those of
+        one-group-per-item calls made round by round (group ``j`` of
+        every item still live, then group ``j + 1``).  ``decide``
+        re-decides every result before that acceptance check (a wrapper
+        tester's own decision rule); the returned results are decided.
         """
         # Normalise lazily: callers in the batched-learn hot path already
         # send plain-int endpoints and tuple sets, so re-tupling every set
@@ -357,15 +396,18 @@ class ContingencyTableTest:
         ]
         if not items:
             return []
-        if not self.batch_groups:
-            return [self._test_group_looped(x, y, sets) for x, y, sets in items]
-        try:
-            return self._test_groups_fused(items)
-        except BaseException:
-            if self._builder is not None:
-                for x, y, sets in items:
-                    self._builder.discard_pending(x, y, sets)
-            raise
+        if self.batch_groups:
+            return self._test_groups_fused(items, prefix, decide)
+        # Looped reference path: one group at a time, stopping at the
+        # first accepting group, so nothing is ever discarded.
+        def looped(x: int, y: int, sets: list[tuple[int, ...]]) -> list[CITestResult]:
+            res = self._test_group_looped(x, y, sets)
+            return res if decide is None else [decide(r) for r in res]
+
+        return [
+            group_prefix(looped, x, y, sets, prefix or max(len(sets), 1))
+            for x, y, sets in items
+        ]
 
     # ------------------------------------------------------------------ #
     # looped path (reference oracle)
@@ -385,7 +427,6 @@ class ContingencyTableTest:
         s: tuple[int, ...],
         xy_codes: np.ndarray | None,
         xy_reused: bool,
-        known_miss: bool = False,
     ) -> CITestResult:
         ds = self.dataset
         rx, ry = ds.arity(x), ds.arity(y)
@@ -395,7 +436,7 @@ class ContingencyTableTest:
         z_reused = False
         if self._builder is not None:
             counts, nz_structural, from_cache, z_reused, xy_cached = self._builder.ci_counts(
-                x, y, s, xy_codes=xy_codes, known_miss=known_miss
+                x, y, s, xy_codes=xy_codes
             )
             xy_reused = xy_reused or xy_cached
         else:
@@ -409,11 +450,19 @@ class ContingencyTableTest:
                 compress_threshold=self.compress_threshold,
                 xy_codes=xy_codes,
             )
-        return self._finish(
-            x, y, s, counts, nz_structural, rx, ry, xy_reused, from_cache, z_reused
+        res, n_logs = self._score(x, y, s, counts, nz_structural, rx, ry)
+        self.counters.record(
+            depth=len(s),
+            m=ds.n_samples,
+            cells=counts.size,
+            logs=n_logs,
+            xy_reused=xy_reused,
+            from_cache=from_cache,
+            z_reused=z_reused,
         )
+        return res
 
-    def _finish(
+    def _score(
         self,
         x: int,
         y: int,
@@ -422,37 +471,31 @@ class ContingencyTableTest:
         nz_structural: int,
         rx: int,
         ry: int,
-        xy_reused: bool,
-        from_cache: bool | None,
-        z_reused: bool,
-    ) -> CITestResult:
-        """Statistic, decision and work accounting for one built table."""
+    ) -> tuple[CITestResult, int]:
+        """Statistic and decision for one built table, plus its log count
+        (no accounting: callers bill the test when it counts)."""
         stat, n_logs, n_nonempty = self._stat_from_counts(counts)
         if self.dof_adjust == "structural":
             dof = (rx - 1) * (ry - 1) * float(nz_structural)
         else:
             dof = (rx - 1) * (ry - 1) * float(max(n_nonempty, 1))
         p = chi2_sf(stat, dof)
-        self.counters.record(
-            depth=len(s),
-            m=self.dataset.n_samples,
-            cells=counts.size,
-            logs=n_logs,
-            xy_reused=xy_reused,
-            from_cache=from_cache,
-            z_reused=z_reused,
-        )
-        return CITestResult(
+        res = CITestResult(
             x=x, y=y, s=s, statistic=stat, dof=dof, p_value=p, independent=p > self.alpha
         )
+        return res, n_logs
 
     # ------------------------------------------------------------------ #
-    # fused path (megagroup kernel)
+    # fused path (megagroup kernel): plan -> build -> commit
     # ------------------------------------------------------------------ #
     def _test_groups_fused(
-        self, items: list[tuple[int, int, list[tuple[int, ...]]]]
+        self,
+        items: list[tuple[int, int, list[tuple[int, ...]]]],
+        prefix: int | None,
+        decide: Callable[[CITestResult], CITestResult] | None,
     ) -> list[list[CITestResult]]:
-        m = self.dataset.n_samples
+        ds = self.dataset
+        m = ds.n_samples
         ar = self._arities
         dense_limit = self.compress_threshold * max(m, 1)
         builder = self._builder
@@ -462,228 +505,213 @@ class ContingencyTableTest:
             [None] * len(sets) for _, _, sets in items
         ]
         group_xy: list[np.ndarray | None] = [None] * len(items)
-        entries: list[_FusedEntry] = []
-        hits: list[tuple[int, int, tuple]] = []
-        dups: list[tuple[int, int, tuple]] = []
-        # Table keys reserved by THIS call; a pending payload outside this
-        # set is a stale placeholder from an aborted evaluation, which the
-        # planner rebuilds over (the fresh reservation self-heals the slot).
-        pending: set[tuple] = set()
-
-        # Plan strictly in (group, set) order so every cache event — hits,
-        # misses, encoding fetches, slot reservations, the compressed
-        # fallback's builds — happens exactly where a looped pass over the
-        # same stream would have produced it; recency, evictions and
-        # counters stay bit-identical even across fused groups.
-        # Work-counter deltas for the fused entries are plan-derivable
-        # (depth, table size, reuse flags), so they are accumulated here —
-        # one pass that already iterates every (group, set) — and flushed
-        # once below; the totals are exactly the sum of the per-test
-        # ``record`` calls the looped path makes (same flags, same
-        # arithmetic).  Only ``log_ops`` needs built tables; the wave
-        # builds flush it separately.
-        cells_acc = cols_acc = n_fused = 0
-        per_depth: dict[int, int] = {}
         gshape: list[tuple[int, int]] = [(0, 0)] * len(items)
-        if builder is None:
-            # Lean plan (no cache events to order): the common batched-learn
-            # configuration runs this loop once per (group, set), so the
-            # builder branches are hoisted out of it entirely.
-            for g, (x, y, sets) in enumerate(items):
-                ry = ar[y]
-                sc = ar[x] * ry
-                gshape[g] = (ar[x], ry)
-                group_xy[g] = self.encoded.xy_codes(x, y)
-                for i, s in enumerate(sets):
-                    info = set_info.get(s)
-                    if info is None:
-                        rz = [ar[v] for v in s]
-                        nz = n_configurations(rz)
-                        set_info[s] = (rz, nz)
-                    else:
-                        rz, nz = info
-                    if nz <= dense_limit:
-                        entries.append(
-                            _FusedEntry(g, i, s, rz, nz, nz * sc, None, False, False)
-                        )
-                        n_fused += 1
-                        cells_acc += nz * sc
-                        d = len(s)
-                        cols_acc += d + (0 if i > 0 else 2)
-                        per_depth[d] = per_depth.get(d, 0) + 1
-                    else:
-                        results[g][i] = self._test_single(
-                            x, y, s, group_xy[g], xy_reused=i > 0, known_miss=False
-                        )
-        else:
-            for g, (x, y, sets) in enumerate(items):
-                ry = ar[y]
-                sc = ar[x] * ry
-                gshape[g] = (ar[x], ry)
-                for i, s in enumerate(sets):
-                    status, payload = builder.lookup(x, y, s)
-                    if status == "hit":
-                        hits.append((g, i, payload))  # type: ignore[arg-type]
-                        continue
-                    if status == "pending" and payload in pending:
-                        dups.append((g, i, payload))  # type: ignore[arg-type]
-                        continue
-                    info = set_info.get(s)
-                    if info is None:
-                        rz = [ar[v] for v in s]
-                        nz = n_configurations(rz)
-                        set_info[s] = (rz, nz)
-                    else:
-                        rz, nz = info
-                    if nz <= dense_limit:
-                        # Looped miss-build event order at this position:
-                        # conditioning codes, endpoint codes, table store
-                        # (here: slot reservation).
-                        zc, zf = builder.encoded_z(s, rz) if s else (None, False)
-                        xy_fetched, xyf = builder.encoded_xy(x, y, ry)
-                        if group_xy[g] is None:
-                            group_xy[g] = xy_fetched
-                        builder.reserve(x, y, s)
-                        pending.add(builder.table_key(x, y, s))
-                        entries.append(
-                            _FusedEntry(g, i, s, rz, nz, nz * sc, zc, zf, xyf)
-                        )
-                        n_fused += 1
-                        cells_acc += nz * sc
-                        d = len(s)
-                        cols_acc += (0 if zf else d) + (0 if (i > 0 or xyf) else 2)
-                        per_depth[d] = per_depth.get(d, 0) + 1
-                    else:
-                        # Compressed-Z set: data-dependent table height,
-                        # looped path (builds and stores immediately; the
-                        # planning lookup above established the miss).
-                        results[g][i] = self._test_single(
-                            x,
-                            y,
-                            s,
-                            None,
-                            xy_reused=i > 0,
-                            known_miss=True,
-                        )
+        entries: list[_Job] = []  # dense sets, scored in waves
+        loose: list[_Job] = []  # compressed sets, scored one at a time
+        # The job behind every (group, set); on the cache path repeats of
+        # one table key within the call share one (built and scored once).
+        jobs: list[list[_Job]] = []
 
-        built_by_key: dict[tuple, tuple[np.ndarray, int]] = {}
-        if entries:
-            counters = self.counters
-            counters.n_tests += n_fused
-            counters.data_accesses += m * cols_acc
-            counters.table_cells += cells_acc
-            if builder is not None:
-                counters.cache_misses += n_fused
-                builder.cache.misses += len(entries)
-            pdt = counters.per_depth_tests
-            for d, c in per_depth.items():
-                pdt[d] = pdt.get(d, 0) + c
+        # -- plan: no side effects on the cache or the counters ---------- #
+        # With a cache, resident tables and codes are read without recency
+        # or counter effects, and whatever is absent is built from codes
+        # encoded fresh here (never the EncodedDataset z-row memo, which
+        # would pin every served set's row); commit replays the cache
+        # events of the tests that count.
+        peek = builder.cache.peek if builder is not None else None
+        planned: dict[tuple, _Job] = {}
+        zcodes: dict[tuple[int, ...], np.ndarray] = {}
+        for g, (x, y, sets) in enumerate(items):
+            ry = ar[y]
+            sc = ar[x] * ry
+            gshape[g] = (ar[x], ry)
             if builder is None:
-                # Shape-major entry order (stable, groups stay whole —
-                # the shape is a per-group property): each wave then
-                # carries only a couple of endpoint-shape slabs, cutting
-                # per-slab elementwise dispatches, while group runs stay
-                # contiguous for the broadcast endpoint adds.  Per-set
-                # results and counters are order-independent; only the
-                # cache builder's event stream pins plan order (above).
-                # Bucketing is a cheaper stable (shape, group) sort — the
-                # plan emits entries in group order, so per-bucket
-                # insertion order is already group-major — and the wave
-                # split happens in the same walk over the sorted buckets.
-                buckets: dict[tuple[int, int], list[_FusedEntry]] = {}
-                for e in entries:
-                    shp = gshape[e.g]
-                    lst = buckets.get(shp)
-                    if lst is None:
-                        buckets[shp] = [e]
-                    else:
-                        lst.append(e)
-                max_rows = max(_MAX_WAVE_CODES // max(m, 1), 1)
-                wave: list[_FusedEntry] = []
-                cells = 0
-                waves: list[list[_FusedEntry]] = []
-                for shp in sorted(buckets):
-                    for e in buckets[shp]:
-                        if wave and (
-                            cells + e.cells > _MAX_WAVE_CELLS
-                            or len(wave) >= max_rows
-                        ):
-                            waves.append(wave)
-                            wave, cells = [], 0
-                        wave.append(e)
-                        cells += e.cells
-                if wave:
-                    waves.append(wave)
-            else:
-                waves = self._split_waves(entries)
-            for wave in waves:
-                self._build_wave(wave, items, gshape, group_xy, results, built_by_key)
+                group_xy[g] = self.encoded.xy_codes(x, y)
+            row: list[_Job] = []
+            jobs.append(row)
+            for i, s in enumerate(sets):
+                if builder is not None:
+                    key = builder.table_key(x, y, s)
+                    job = planned.get(key)
+                    if job is not None:
+                        row.append(job)
+                        continue
+                info = set_info.get(s)
+                if info is None:
+                    rz = [ar[v] for v in s]
+                    nz = n_configurations(rz)
+                    set_info[s] = (rz, nz)
+                else:
+                    rz, nz = info
+                dense = nz <= dense_limit
+                job = _Job(g, i, s, rz, nz, nz * sc, dense)
+                row.append(job)
+                if builder is not None:
+                    planned[key] = job
+                    job.table = peek(key)
+                    if job.table is None:
+                        if s:
+                            z = zcodes.get(s)
+                            if z is None:
+                                z = peek(builder.codes_key(s))
+                                if z is None:
+                                    z = builder.fresh_z(s, rz)
+                                zcodes[s] = z
+                            job.z1d = z
+                        if group_xy[g] is None:
+                            xy = peek(builder.xy_key(x, y))
+                            group_xy[g] = xy if xy is not None else builder.fresh_xy(x, y)
+                (entries if dense else loose).append(job)
 
-        if builder is not None:
-            # Every table this call produced lands in its reserved slot
-            # (when still resident) under one lock acquisition.
-            if built_by_key:
-                builder.cache.fill_many(built_by_key.items())
-
-            # Duplicates of in-flight builds: hit accounting happened at
-            # planning (the reserved slot took the direct hit); serve.
-            for g, i, src_key in dups:
-                x, y, sets = items[g]
-                counts, nz_structural = built_by_key[src_key]
-                results[g][i] = self._finish(
-                    x, y, sets[i], counts, nz_structural, ar[x], ar[y],
-                    xy_reused=True, from_cache=True, z_reused=True,
+        # -- build -------------------------------------------------------- #
+        if entries:
+            for wave in self._waves(entries, gshape):
+                self._build_wave(wave, items, gshape, group_xy, results)
+        for job in loose:
+            x, y, _sets = items[job.g]
+            rx, ry = gshape[job.g]
+            if job.table is None:
+                counts, nz_structural, _dense = ci_counts(
+                    ds.column(x),
+                    ds.column(y),
+                    ds.columns(job.s) if job.z1d is None else [],
+                    rx,
+                    ry,
+                    job.rz,
+                    compress_threshold=self.compress_threshold,
+                    xy_codes=group_xy[job.g],
+                    z_codes=job.z1d,
                 )
-
-        for g, i, payload in hits:
-            x, y, sets = items[g]
-            counts, nz_structural = payload  # type: ignore[misc]
-            results[g][i] = self._finish(
-                x, y, sets[i], counts, nz_structural, ar[x], ar[y],
-                xy_reused=True, from_cache=True, z_reused=True,
+                job.table = (counts, nz_structural)
+            counts, nz_structural = job.table
+            results[job.g][job.i], job.logs = self._score(
+                x, y, job.s, counts, nz_structural, rx, ry
             )
+            job.cells = counts.size
+        if builder is not None:
+            for g, row in enumerate(jobs):
+                for i, job in enumerate(row):
+                    if job.g != g or job.i != i:
+                        results[g][i] = results[job.g][job.i]
 
+        # -- decide the kept prefix of every item ------------------------- #
+        if decide is not None:
+            results = [[decide(r) for r in res] for res in results]  # type: ignore[arg-type]
+        keep = [len(res) for res in results]
+        if prefix is not None:
+            for g, res in enumerate(results):
+                if len(res) <= prefix:
+                    continue  # one group: kept whole
+                for k, r in enumerate(res):
+                    if r.independent:  # type: ignore[union-attr]
+                        keep[g] = min(keep[g], (k // prefix + 1) * prefix)
+                        results[g] = res[: keep[g]]
+                        break
+
+        # -- commit: accounting (and cache events) of the kept tests ------ #
+        # Commit order is the rounds a one-group-per-item engine would run:
+        # group j of every item that keeps it, then group j + 1.  A test
+        # at position i bills the endpoint columns only as the first set of
+        # its gs-group (the group-evaluation XY reuse).
+        from ..engine.statscache import HIT, XY_CACHED, Z_CACHED
+
+        step = prefix or max(keep, default=1) or 1
+        seq: list[tuple[int, _Job]] = []
+        if builder is None:
+            for g, row in enumerate(jobs):
+                seq.extend(enumerate(row[: keep[g]]))
+            flags = [0] * len(seq)
+        else:
+            rounds = []
+            for j in range(0, max(keep, default=0), step):
+                rnd = []
+                for g, (x, y, _sets) in enumerate(items):
+                    row, xy = jobs[g], group_xy[g]
+                    for i in range(j, min(j + step, keep[g])):
+                        rnd.append((x, y, row[i], xy))
+                        seq.append((i, row[i]))
+                rounds.append(rnd)
+            flags = builder.commit(rounds)
+        per_depth: dict[int, int] = {}
+        n_kept = hits = cells = logs = cols = 0
+        for (i, job), flag in zip(seq, flags, strict=True):
+            d = len(job.s)
+            n_kept += 1
+            cells += job.cells
+            logs += job.logs
+            per_depth[d] = per_depth.get(d, 0) + 1
+            if flag == HIT:
+                hits += 1
+                continue
+            if not flag & Z_CACHED:
+                cols += d
+            if not (flag & XY_CACHED or i % step):
+                cols += 2
+        counters = self.counters
+        if builder is not None:
+            counters.cache_hits += hits
+            counters.cache_misses += n_kept - hits
+        counters.n_tests += n_kept
+        counters.data_accesses += m * cols
+        counters.table_cells += cells
+        counters.log_ops += logs
+        pdt = counters.per_depth_tests
+        for d, c in per_depth.items():
+            pdt[d] = pdt.get(d, 0) + c
         return results  # type: ignore[return-value]
 
-    def _split_waves(self, entries: list[_FusedEntry]) -> list[list[_FusedEntry]]:
-        """Greedy plan-order split under the wave caps (module constant).
+    def _waves(
+        self, entries: list[_Job], gshape: list[tuple[int, int]]
+    ) -> list[list[_Job]]:
+        """Split the dense jobs into waves under the wave caps (module
+        constants).
 
-        A single oversized entry still gets a (one-entry) wave — the caps
-        bound steady-state arena footprint, they are not admission control.
+        Shape-major job order (stable, groups stay whole — the shape is a
+        per-group property): each wave then carries only a couple of
+        endpoint-shape slabs, cutting per-slab elementwise dispatches,
+        while group runs stay contiguous for the broadcast endpoint adds.
+        Per-set results are order-independent (cache events are replayed
+        at commit, in plan order).  A single oversized job still gets a
+        one-job wave — the caps bound steady-state arena footprint, they
+        are not admission control.
         """
-        m = max(self.dataset.n_samples, 1)
-        max_rows = max(_MAX_WAVE_CODES // m, 1)
-        waves: list[list[_FusedEntry]] = []
-        wave: list[_FusedEntry] = []
-        cells = 0
+        buckets: dict[tuple[int, int], list[_Job]] = {}
         for e in entries:
-            if wave and (cells + e.cells > _MAX_WAVE_CELLS or len(wave) >= max_rows):
-                waves.append(wave)
-                wave, cells = [], 0
-            wave.append(e)
-            cells += e.cells
+            shp = gshape[e.g]
+            lst = buckets.get(shp)
+            if lst is None:
+                buckets[shp] = [e]
+            else:
+                lst.append(e)
+        max_rows = max(_MAX_WAVE_CODES // max(self.dataset.n_samples, 1), 1)
+        waves: list[list[_Job]] = []
+        wave: list[_Job] = []
+        cells = 0
+        for shp in sorted(buckets):
+            for e in buckets[shp]:
+                if wave and (cells + e.cells > _MAX_WAVE_CELLS or len(wave) >= max_rows):
+                    waves.append(wave)
+                    wave, cells = [], 0
+                wave.append(e)
+                cells += e.cells
         if wave:
             waves.append(wave)
         return waves
 
     def _build_wave(
         self,
-        wave: list[_FusedEntry],
+        wave: list[_Job],
         items: list[tuple[int, int, list[tuple[int, ...]]]],
         gshape: list[tuple[int, int]],
         group_xy: list[np.ndarray | None],
         results: list[list[CITestResult | None]],
-        built_by_key: dict[tuple, tuple[np.ndarray, int]],
     ) -> None:
-        """Fused build + statistics for one wave of dense entries.
+        """Fused build + statistics for one wave of dense jobs.
 
-        Rows keep the planner's (group, set) order — group runs stay
-        contiguous, so the endpoint codes enter the cell matrix as one
-        broadcast add per run instead of an ``n x m`` gather.  The
-        histogram layout is row-order independent (each row carries its
-        own offset).
+        Jobs whose table is already resident in the stats cache take a
+        slot in the wave's histogram like built ones (their table is
+        copied in), so one stacked reduction scores hits and builds alike.
         """
-        m = self.dataset.n_samples
         builder = self._builder
         arena = self.arena
         n = len(wave)
@@ -706,113 +734,20 @@ class ContingencyTableTest:
             scales_l[w] = sc
             wave[w].offset = total
             total += nz * sc
-        native_ok = self.use_native and native_available()
-        cell_dt = _cell_dtype(total, narrow=not native_ok)
-
-        # -- conditioning codes (scaled, offset) into the cell matrix ----- #
-        # Row w is filled with ``z_codes * scale + offset`` directly: the
-        # z-row memo stores *scaled* rows keyed ``(set, scale)``, so a wave
-        # fill is one ``concatenate`` of memo rows (a C memcpy/cast loop —
-        # no per-row ufunc dispatch) plus one broadcast add that lands
-        # every row on its slab base.  Integer arithmetic bounded by
-        # ``total``, so exact in ``cell_dt`` (and the concatenate casts —
-        # narrow memo row into the wave dtype — are value-preserving
-        # widenings).
-        z2d = arena.take("cells", (n, m), cell_dt)
-        od_all = np.fromiter((e.offset for e in wave), cell_dt, n)
-        if builder is not None:
-            # Cache path: the raw codes were fetched through the builder in
-            # plan order; one concatenate (value-preserving casts: codes
-            # are below ``nz``) then one broadcast scale and offset each.
-            zero_row = self._zero_row
-            np.concatenate(
-                [e.z1d if e.s else zero_row for e in wave],
-                out=z2d.reshape(-1),
-                casting="unsafe",
-            )
-            z2d *= np.fromiter(scales_l, cell_dt, n)[:, None]
-            z2d += od_all[:, None]
+        if builder is None:
+            counts = self._count(wave, scales_l, total, group_xy)
+            built = wave
         else:
-            zmemo = self._z_rows
-            zscaled = self._z_scaled
-            cap = self._z_rows_cap
-            zero_row = self._zero_row
-            rows: list[np.ndarray] = []
-            miss: list[int] = []
-            first_at: dict[tuple[int, ...], int] = {}
-            for w, e in enumerate(wave):
-                if not e.s:
-                    rows.append(zero_row)  # depth-0: cell code is xy + offset
-                    continue
-                sc = scales_l[w]
-                key = (e.s, sc)
-                row = zscaled.get(key)
-                if row is None:
-                    base = zmemo.get(e.s)
-                    if base is None:
-                        first_at.setdefault(e.s, w)
-                        miss.append(w)
-                        rows.append(zero_row)  # placeholder, rewritten below
-                        continue
-                    lim = e.nz * sc
-                    if lim <= _INT32_LIMIT:
-                        row = base * np.int32(sc)
-                        if lim <= _UINT16_LIMIT:
-                            # Narrow storage halves the memo-read traffic
-                            # of every later fill; the values are unchanged.
-                            row = row.astype(
-                                np.uint8 if lim <= _UINT8_LIMIT else np.uint16
-                            )
-                        if len(zscaled) >= cap:
-                            zscaled.pop(next(iter(zscaled)))
-                        zscaled[key] = row
-                    else:  # pragma: no cover - needs a >2^31-cell single table
-                        row = base.astype(np.int64) * sc
-                rows.append(row)
-            np.concatenate(rows, out=z2d.reshape(-1))
-            z2d += od_all[:, None]
-            if miss:
-                self._encode_missing(wave, miss, first_at, z2d, od_all, scales_l)
-
-        # -- endpoint codes + per-row geometry ---------------------------- #
-        runs: list[tuple[int, int, int]] = []
-        b = 0
-        while b < n:
-            g = wave[b].g
-            c = b + 1
-            while c < n and wave[c].g == g:
-                c += 1
-            runs.append((b, c, g))
-            b = c
-        native_ok = self.use_native and native_available()
-        if native_ok:
-            # The native kernel wants the gather form: a stacked endpoint
-            # matrix plus a per-row group index.
-            gpos: dict[int, int] = {}
-            for _, _, g in runs:
-                if g not in gpos:
-                    gpos[g] = len(gpos)
-            xy_mat = arena.take("xymat", (len(gpos), m), cell_dt)
-            for g, k in gpos.items():
-                np.copyto(xy_mat[k], group_xy[g], casting="unsafe")
-            row_group = np.fromiter((gpos[e.g] for e in wave), np.int64, n)
-        else:
-            xy_mat = row_group = None
-
-        counts = fused_cell_counts(
-            z2d,
-            xy_mat,
-            row_group,
-            None,
-            None,
-            total,
-            use_native=native_ok,
-            # Raw (int64) endpoint rows: the widening add into ``add_out``
-            # replaces both a per-run narrowing cast and bincount's hidden
-            # intp conversion copy.
-            xy_runs=[(b, c, group_xy[g]) for b, c, g in runs],
-            add_out=None if native_ok else arena.take("codes", (n, m), np.intp),
-        )
+            built = [e for e in wave if e.table is None]
+            if built:
+                sc_built = [scales_l[w] for w, e in enumerate(wave) if e.table is None]
+                counts = self._count(built, sc_built, total, group_xy)
+            else:
+                counts = np.zeros(total, dtype=np.int64)
+            if len(built) < n:
+                for e in wave:
+                    if e.table is not None:
+                        counts[e.offset : e.offset + e.cells] = e.table[0].reshape(-1)
 
         # -- statistics: one elementwise pass per endpoint shape ---------- #
         # The terms/marginals of G^2 and X^2 are per-z-slice computations,
@@ -883,15 +818,13 @@ class ContingencyTableTest:
         all_stats = self._finalize_stats(all_stats)
         ps = chi2_sf_array(all_stats, all_dofs)
 
-        # -- results + cache copies --------------------------------------- #
-        # Every other counter delta was accumulated at plan time (they are
-        # plan-derivable); only the log billing needs the built tables.
+        # -- results, log billing, cache copies --------------------------- #
         stats_l, dofs_l, ps_l = all_stats.tolist(), all_dofs.tolist(), ps.tolist()
+        logs_l = all_logs.tolist()
         # ``p > alpha`` vectorised over float64 is the same comparison the
         # looped path makes per test.
         ind_l = (ps > self.alpha).tolist()
-        cached = builder is not None
-        for b, c, g in runs:
+        for b, c, g in _runs(wave):
             x, y, _sets = items[g]
             res_g = results[g]
             sub = wave[b:c]
@@ -905,27 +838,138 @@ class ContingencyTableTest:
                 ps_l[b:c],
                 ind_l[b:c],
             )
-            if not cached:
-                for e, r in zip(sub, recs, strict=True):
-                    res_g[e.i] = r
-                continue
-            for w, r in zip(range(b, c), recs, strict=True):
-                e = wave[w]
+            for e, r, lg in zip(sub, recs, logs_l[b:c], strict=True):
                 res_g[e.i] = r
+                e.logs = lg
+        if builder is not None:
+            for e in built:
                 # Materialise a standalone copy: a contiguous *view* would
                 # pin the whole wave histogram in the byte-budgeted cache
                 # while billing only the slice.
-                rx, ry = exy[w]
-                span = e.nz * rx * ry
-                table = (
-                    counts[e.offset : e.offset + span].reshape(e.nz, rx, ry).copy()
-                )
-                built_by_key[builder.table_key(x, y, e.s)] = (table, e.nz)
-        self.counters.log_ops += int(all_logs.sum())
+                rx, ry = gshape[e.g]
+                table = counts[e.offset : e.offset + e.cells].reshape(e.nz, rx, ry).copy()
+                e.table = (table, e.nz)
+
+    def _count(
+        self,
+        rows: list[_Job],
+        scales_l: list[int],
+        total: int,
+        group_xy: list[np.ndarray | None],
+    ) -> np.ndarray:
+        """Flat histogram of ``total`` cells holding the tables of ``rows``
+        (jobs with laid-out offsets; ``scales_l`` their ``rx * ry``).
+
+        Rows keep the wave's job order — group runs stay contiguous, so
+        the endpoint codes enter the cell matrix as one broadcast add per
+        run instead of an ``n x m`` gather.  The histogram layout is
+        row-order independent (each row carries its own offset).
+        """
+        m = self.dataset.n_samples
+        arena = self.arena
+        n = len(rows)
+        native_ok = self.use_native and native_available()
+        cell_dt = _cell_dtype(total, narrow=not native_ok)
+
+        # -- conditioning codes (scaled, offset) into the cell matrix ----- #
+        # Row w is filled with ``z_codes * scale + offset`` directly: the
+        # z-row memo stores *scaled* rows keyed ``(set, scale)``, so a wave
+        # fill is one ``concatenate`` of memo rows (a C memcpy/cast loop —
+        # no per-row ufunc dispatch) plus one broadcast add that lands
+        # every row on its slab base.  Integer arithmetic bounded by
+        # ``total``, so exact in ``cell_dt`` (and the concatenate casts —
+        # narrow memo row into the wave dtype — are value-preserving
+        # widenings).
+        z2d = arena.take("cells", (n, m), cell_dt)
+        od_all = np.fromiter((e.offset for e in rows), cell_dt, n)
+        if self._builder is not None:
+            # Cache path: the raw codes come from the plan (cache or fresh
+            # encode); one concatenate (value-preserving casts: codes are
+            # below ``nz``) then one broadcast scale and offset each.
+            zero_row = self._zero_row
+            np.concatenate(
+                [e.z1d if e.s else zero_row for e in rows],
+                out=z2d.reshape(-1),
+                casting="unsafe",
+            )
+            z2d *= np.fromiter(scales_l, cell_dt, n)[:, None]
+            z2d += od_all[:, None]
+        else:
+            zmemo = self._z_rows
+            zscaled = self._z_scaled
+            cap = self._z_rows_cap
+            zero_row = self._zero_row
+            fill: list[np.ndarray] = []
+            miss: list[int] = []
+            first_at: dict[tuple[int, ...], int] = {}
+            for w, e in enumerate(rows):
+                if not e.s:
+                    fill.append(zero_row)  # depth-0: cell code is xy + offset
+                    continue
+                sc = scales_l[w]
+                key = (e.s, sc)
+                row = zscaled.get(key)
+                if row is None:
+                    base = zmemo.get(e.s)
+                    if base is None:
+                        first_at.setdefault(e.s, w)
+                        miss.append(w)
+                        fill.append(zero_row)  # placeholder, rewritten below
+                        continue
+                    lim = e.nz * sc
+                    if lim <= _INT32_LIMIT:
+                        row = base * np.int32(sc)
+                        if lim <= _UINT16_LIMIT:
+                            # Narrow storage halves the memo-read traffic
+                            # of every later fill; the values are unchanged.
+                            row = row.astype(
+                                np.uint8 if lim <= _UINT8_LIMIT else np.uint16
+                            )
+                        if len(zscaled) >= cap:
+                            zscaled.pop(next(iter(zscaled)))
+                        zscaled[key] = row
+                    else:  # pragma: no cover - needs a >2^31-cell single table
+                        row = base.astype(np.int64) * sc
+                fill.append(row)
+            np.concatenate(fill, out=z2d.reshape(-1))
+            z2d += od_all[:, None]
+            if miss:
+                self._encode_missing(rows, miss, first_at, z2d, od_all, scales_l)
+
+        # -- endpoint codes ----------------------------------------------- #
+        runs = _runs(rows)
+        if native_ok:
+            # The native kernel wants the gather form: a stacked endpoint
+            # matrix plus a per-row group index.
+            gpos: dict[int, int] = {}
+            for _, _, g in runs:
+                if g not in gpos:
+                    gpos[g] = len(gpos)
+            xy_mat = arena.take("xymat", (len(gpos), m), cell_dt)
+            for g, k in gpos.items():
+                np.copyto(xy_mat[k], group_xy[g], casting="unsafe")
+            row_group = np.fromiter((gpos[e.g] for e in rows), np.int64, n)
+        else:
+            xy_mat = row_group = None
+
+        return fused_cell_counts(
+            z2d,
+            xy_mat,
+            row_group,
+            None,
+            None,
+            total,
+            use_native=native_ok,
+            # Raw (int64) endpoint rows: the widening add into ``add_out``
+            # replaces both a per-run narrowing cast and bincount's hidden
+            # intp conversion copy.
+            xy_runs=[(b, c, group_xy[g]) for b, c, g in runs],
+            add_out=None if native_ok else arena.take("codes", (n, m), np.intp),
+        )
 
     def _encode_missing(
         self,
-        wave: list[_FusedEntry],
+        wave: list[_Job],
         miss: list[int],
         first_at: dict[tuple[int, ...], int],
         z2d: np.ndarray,

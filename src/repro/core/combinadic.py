@@ -62,12 +62,16 @@ def rank_combination(p: int, combination: Sequence[int]) -> int:
     return rank
 
 
-def iter_combination_indices(p: int, q: int, start: int, count: int) -> Iterator[tuple[int, ...]]:
+def iter_combination_indices(
+    p: int, q: int, start: int, count: int, after: Sequence[int] | None = None
+) -> Iterator[tuple[int, ...]]:
     """Yield ``count`` consecutive combinations starting at rank ``start``.
 
     The first is unranked (O(p)); successors are generated by the standard
     lexicographic successor step (amortised O(q)), which is how a thread
     walks through its gs-sized group without re-unranking every member.
+    ``after`` — the combination at rank ``start - 1``, when the caller
+    still holds it — replaces the unranking by one more successor step.
     """
     total = comb(p, q)
     if count <= 0:
@@ -75,9 +79,13 @@ def iter_combination_indices(p: int, q: int, start: int, count: int) -> Iterator
     if not 0 <= start < total:
         raise ValueError(f"start {start} out of range [0, {total})")
     count = min(count, total - start)
-    current = list(unrank_combination(p, q, start))
-    yield tuple(current)
-    for _ in range(count - 1):
+    if after is None:
+        current = list(unrank_combination(p, q, start))
+        yield tuple(current)
+        count -= 1
+    else:
+        current = list(after)
+    for _ in range(count):
         # Lexicographic successor: find the rightmost element that can grow.
         i = q - 1
         while i >= 0 and current[i] == p - q + i:

@@ -38,6 +38,12 @@ class EdgeTask:
         Conditioning-set size ``d`` at this depth.
     progress:
         Global rank of the next CI test to perform (``r`` in the paper).
+
+    The task also keeps a successor cursor: the last window of sets
+    :meth:`next_group` produced and the combination indices of its last
+    member.  A later call whose start lies inside or right after that
+    window reuses the window's uncommitted tail and continues by successor
+    steps instead of unranking from ``progress`` again.
     """
 
     u: int
@@ -48,6 +54,9 @@ class EdgeTask:
     progress: int = 0
     c1: int = field(init=False)
     c2: int = field(init=False)
+    _win_at: int = field(default=-1, init=False, repr=False, compare=False)
+    _win: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _last: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.u == self.v:
@@ -93,25 +102,42 @@ class EdgeTask:
         """The next ``gs`` conditioning sets from ``progress`` (fewer when the
         edge is nearly exhausted).  Uses the successor iterator within each
         side so only the first member of each side segment pays the
-        unranking cost."""
+        unranking cost — and not even that when the successor cursor (class
+        docstring) covers ``progress``."""
         if gs < 1:
             raise ValueError("group size must be >= 1")
         start = self.progress
         count = min(gs, self.total_tests - start)
+        win = self._win
+        off = start - self._win_at
+        if self._win_at >= 0 and 0 <= off <= len(win):
+            out = win[off : off + count]
+            if len(out) == count:
+                return out
+            out += self._walk(self._win_at + len(win), count - len(out), self._last)
+        else:
+            out = self._walk(start, count, None)
+        self._win_at, self._win = start, out
+        return out
+
+    def _walk(
+        self, r: int, count: int, prev: tuple[int, ...] | None
+    ) -> list[tuple[int, ...]]:
+        """``count`` sets from global rank ``r``; ``prev`` holds the
+        combination indices of rank ``r - 1`` when known."""
         out: list[tuple[int, ...]] = []
-        # Side 1 segment
-        if start < self.c1:
-            take = min(count, self.c1 - start)
-            for idx in iter_combination_indices(len(self.side1), self.depth, start, take):
-                out.append(tuple(self.side1[i] for i in idx))
-            start += take
+        for side, base, c in ((self.side1, 0, self.c1), (self.side2, self.c1, self.c2)):
+            if count <= 0:
+                break
+            if r >= base + c:
+                continue
+            take = min(count, base + c - r)
+            idx = prev if r > base else None
+            for idx in iter_combination_indices(len(side), self.depth, r - base, take, idx):
+                out.append(tuple(side[i] for i in idx))
+            self._last = idx  # type: ignore[assignment]
+            r += take
             count -= take
-        # Side 2 segment
-        if count > 0:
-            for idx in iter_combination_indices(
-                len(self.side2), self.depth, start - self.c1, count
-            ):
-                out.append(tuple(self.side2[i] for i in idx))
         return out
 
     def advance(self, n: int) -> None:

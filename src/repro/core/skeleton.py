@@ -43,13 +43,26 @@ one's next ``gs``-group and evaluates all of them in one
 per invocation even at ``gs=1`` (Sec. IV-B's grouping argument applied one
 level up, across edges).  Verdicts, deferred removals and the trace are
 applied exactly as a one-edge-at-a-time loop would apply them.
+
+The tail of a depth is *thin*: a few edges with many tests left, each
+needing one round per group.  A round that pops every live task and holds
+fewer than :data:`SPEC_BELOW` of them is thin, and there each task
+contributes its next :data:`LOOKAHEAD` groups instead of one.  The pops of
+the following one-group rounds are known in advance — the same tasks, in
+the same order, until each accepts or runs out — so
+:func:`~repro.citests.base.evaluate_prefix` evaluates them all at once and
+keeps, per task, every group up to and including the first accepting one.
+The discarded groups leave no trace: test counts, redundancy, pool
+statistics, the trace, tester counters and stats-cache events are those of
+the one-group rounds (Fig. 4's redundant tests, computed but never
+committed).
 """
 
 from __future__ import annotations
 
 import time
 
-from ..citests.base import ConditionalIndependenceTest, CITestResult, evaluate_groups
+from ..citests.base import ConditionalIndependenceTest, CITestResult, evaluate_prefix
 from ..graphs.undirected import UndirectedGraph
 from .edges import EdgeTask
 from .result import DepthStats, SkeletonStats
@@ -57,7 +70,14 @@ from .sepsets import SepSetStore
 from .trace import TestRecord, TraceRecorder
 from .workpool import WorkPool
 
-__all__ = ["learn_skeleton", "build_depth_tasks", "depth_has_work", "ROUND_CAP"]
+__all__ = [
+    "learn_skeleton",
+    "build_depth_tasks",
+    "depth_has_work",
+    "ROUND_CAP",
+    "SPEC_BELOW",
+    "LOOKAHEAD",
+]
 
 #: Most work items one round evaluates in a single ``test_groups`` call.
 #: Bounds a round's live results and pending tables, so even munin3's
@@ -65,6 +85,16 @@ __all__ = ["learn_skeleton", "build_depth_tasks", "depth_has_work", "ROUND_CAP"]
 #: scale (666 pairs) depth 0 takes one round.  The fused kernel splits a
 #: round into cache-sized waves itself, so a larger cap only saves calls.
 ROUND_CAP = 1024
+
+#: A round popping every live task is thin (speculative) below this many
+#: tasks.  Wider rounds already fill the kernel, and their tasks are
+#: mostly depth-opening groups, where a lookahead would mostly be wasted.
+SPEC_BELOW = 64
+
+#: Groups per task in a thin round.  On alarm at gs=1 the depth tails
+#: then take ~90 kernel calls per learn instead of ~490, for ~2% extra
+#: (discarded) tests.
+LOOKAHEAD = 8
 
 
 def build_depth_tasks(
@@ -189,31 +219,38 @@ def learn_skeleton(
 
         while pool:
             batch = pool.pop_many(ROUND_CAP)
+            width = gs * LOOKAHEAD if not pool and len(batch) < SPEC_BELOW else gs
             items = []
             for task in batch:
                 if materialised is None:
-                    sets = task.next_group(gs)
+                    sets = task.next_group(width)
                 else:
                     start = task.progress
-                    sets = materialised[rank[id(task)]][start : start + gs]
+                    sets = materialised[rank[id(task)]][start : start + width]
                 items.append((task.u, task.v, sets))
             unfinished = []
-            for task, (_, _, sets), results in zip(
-                batch, items, evaluate_groups(tester, items), strict=True
-            ):
-                n_exec = len(sets)
-                task.advance(n_exec)
-                d_stats.n_tests += n_exec
-                d_stats.n_groups += 1
+            for task, kept in zip(batch, evaluate_prefix(tester, items, gs), strict=True):
+                task.advance(len(kept))
+                d_stats.n_tests += len(kept)
+                if len(kept) <= gs:
+                    groups = [kept]
+                else:
+                    groups = [kept[b : b + gs] for b in range(0, len(kept), gs)]
+                    # Every kept group past the first stands for one more
+                    # one-group round: a pop, and a push back before it.
+                    pool.count_cycles(len(groups) - 1)
+                d_stats.n_groups += len(groups)
                 if traced is not None:
-                    traced[rank[id(task)]].append(_test_records(task, results, tester))
-                first_idx = next((i for i, r in enumerate(results) if r.independent), -1)
+                    for results in groups:
+                        traced[rank[id(task)]].append(_test_records(task, results, tester))
+                last = groups[-1]
+                first_idx = next((i for i, r in enumerate(last) if r.independent), -1)
                 if first_idx >= 0:
-                    # Tests executed after the accepting one (within this
+                    # Tests executed after the accepting one (within its
                     # group) are the gs redundancy of Fig. 4.
-                    d_stats.n_redundant_tests += n_exec - 1 - first_idx
+                    d_stats.n_redundant_tests += len(last) - 1 - first_idx
                     found.setdefault((task.u, task.v), []).append(
-                        (rank[id(task)], results[first_idx].s)
+                        (rank[id(task)], last[first_idx].s)
                     )
                 elif not task.done:
                     unfinished.append(task)

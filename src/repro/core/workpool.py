@@ -48,6 +48,13 @@ class WorkPool:
             out.append(self.pop())
         return out
 
+    def count_cycles(self, n: int) -> None:
+        """Account ``n`` pop/push-back cycles a speculative round ran
+        without touching the stack (one per extra group a task committed;
+        see :mod:`repro.core.skeleton`)."""
+        self._pops += n
+        self._pushes += n
+
     def __len__(self) -> int:
         return len(self._stack)
 

@@ -21,9 +21,10 @@ test parameter.  :class:`SufficientStatsCache` memoizes those tables:
 * encoded conditioning-set codes are cached too, so a miss that shares its
   conditioning set with an earlier test (the Markov-blanket grow pattern:
   same ``S``, sweeping ``y``) skips the mixed-radix re-encoding;
-* the batched group kernel lands all tables of one offset-stacked build
-  through :meth:`SufficientStatsCache.fill_many` — one lock acquisition
-  per kernel call instead of one per table.
+* the fused group kernel reads the cache side-effect free while it plans
+  and builds, then replays the cache events of the tests it keeps through
+  :meth:`CachedTableBuilder.commit` — one lock acquisition per kernel
+  call instead of one per table.
 
 Hit/miss/eviction/byte counters are exact and feed both
 :class:`~repro.citests.base.CITestCounters` and the Table IV simulated
@@ -44,13 +45,18 @@ from ..datasets.dataset import DiscreteDataset
 
 __all__ = ["CacheStats", "SufficientStatsCache", "CachedTableBuilder"]
 
-#: Placeholder value of a reserved-but-not-yet-built table entry.  The
-#: batched group path reserves cache slots in exact looped order during
-#: planning (so LRU recency, evictions and hit/miss counters are
-#: bit-identical to per-set evaluation), builds all tables with one
-#: stacked bincount, then fills the surviving slots.  Pending entries are
-#: transient — they exist only while one group evaluation is in flight.
+#: Placeholder value of a reserved table slot.  A kernel call's commit
+#: replays each round of the one-group sequence as "reserve every missed
+#: slot, then fill the survivors", so a slot evicted inside its own round
+#: is dropped instead of spilled, exactly as per-set evaluation would
+#: drop it.  Pending entries exist only inside that locked replay.
 _PENDING = object()
+
+#: :meth:`CachedTableBuilder.commit` flags: a table hit, or the encodings
+#: a miss found cached (bit set) instead of reading the data.
+HIT = -1
+Z_CACHED = 1
+XY_CACHED = 2
 
 DEFAULT_BUDGET_BYTES = 64 << 20  # 64 MiB
 
@@ -106,7 +112,7 @@ class CacheStats:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     value: object
     nbytes: int
@@ -184,17 +190,27 @@ class SufficientStatsCache:
         hit/miss counters track *tables* exactly, one event per CI test.
         """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = self._promote_locked(key)
-                if entry is None:
-                    if count:
-                        self.misses += 1
-                    return None
-            else:
-                self._entries.move_to_end(key)
+            entry = self._get_locked(key)
         if count:
-            self.hits += 1
+            if entry is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        return entry
+
+    def peek(self, key: Hashable) -> object | None:
+        """A resident value without any side effect (no recency, counter,
+        or spill event); ``None`` when absent or a pending slot."""
+        entry = self._entries.get(key)
+        if entry is None or _is_pending(entry):
+            return None
+        return entry.value
+
+    def _get_locked(self, key: Hashable) -> _Entry | None:
+        entry = self._entries.get(key)
+        if entry is None:
+            return self._promote_locked(key)
+        self._entries.move_to_end(key)
         return entry
 
     def _promote_locked(self, key: Hashable) -> "_Entry | None":
@@ -230,8 +246,7 @@ class SufficientStatsCache:
         that can never be re-served within budget.
         """
         with self._lock:
-            self._insert_locked(key, value, nbytes, kind)
-            self._evict_locked()
+            self._put_locked(key, value, nbytes, kind)
 
     def put_many(self, entries: Iterable[tuple]) -> None:
         """Bulk insert under one lock acquisition and one eviction sweep.
@@ -247,22 +262,9 @@ class SufficientStatsCache:
                 self._insert_locked(key, value, nbytes, kind)
             self._evict_locked()
 
-    def fill_many(self, items: Iterable[tuple[Hashable, object]]) -> None:
-        """Set the values of still-resident entries in one critical section.
-
-        This is the landing path of the batched group kernel: slots were
-        reserved (with exact sizes) in looped order during planning, all
-        tables were then built by one offset-stacked bincount, and here
-        every table whose slot survived lands in the cache under a single
-        lock acquisition.  No recency, byte or counter effects — those
-        happened at reservation time, exactly where the looped path would
-        have paid them; entries evicted since reservation are skipped.
-        """
-        with self._lock:
-            for key, value in items:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    entry.value = value
+    def _put_locked(self, key: Hashable, value: object, nbytes: int, kind: str) -> None:
+        self._insert_locked(key, value, nbytes, kind)
+        self._evict_locked()
 
     def _insert_locked(self, key: Hashable, value: object, nbytes: int, kind: str) -> None:
         nbytes = int(nbytes)
@@ -282,17 +284,10 @@ class SufficientStatsCache:
             self.evictions += 1
             if self._spill is not None and not _is_pending(evicted):
                 # Demote instead of drop: the entry lands on disk and a
-                # later lookup promotes it back, bit-identical.  Pending
-                # group reservations are transient and never spill.
+                # later lookup promotes it back, bit-identical.  A slot
+                # reserved in the round being replayed is never spilled.
                 if self._spill.put(key, evicted.value, evicted.nbytes, evicted.kind):
                     self.spill_stores += 1
-
-    def discard(self, key: Hashable) -> None:
-        """Remove one entry (no-op when absent); no hit/miss effects."""
-        with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is not None:
-                self.current_bytes -= entry.nbytes
 
     def clear(self) -> None:
         with self._lock:
@@ -364,68 +359,79 @@ class CachedTableBuilder:
     def xy_key(x: int, y: int) -> tuple:
         return ("xy", x, y)
 
-    def lookup(
-        self, x: int, y: int, s: tuple[int, ...]
-    ) -> tuple[str, object]:
-        """Resolve a table request against the cache, pending-aware.
+    def fresh_z(self, s: tuple[int, ...], rz: Sequence[int]) -> np.ndarray:
+        """Pre-compression mixed-radix codes of the conditioning columns,
+        encoded from the data (no cache event)."""
+        return encode_columns(self.dataset.columns(s), list(rz))[0]
 
-        Returns one of::
+    def fresh_xy(self, x: int, y: int) -> np.ndarray:
+        """Endpoint cell codes ``x * ry + y`` from the data (no cache event)."""
+        ds = self.dataset
+        return ds.column(x).astype(np.int64) * ds.arity(y) + ds.column(y)
 
-            ("hit", (counts, nz_structural))   # resident table
-            ("pending", src_table_key)         # slot some in-flight group
-                                               # evaluation reserved but
-                                               # has not built yet
-            ("miss", None)
+    def commit(self, rounds: Iterable[Sequence[tuple]]) -> list[int]:
+        """Replay the cache events of already-evaluated tests, in order.
 
-        The pending payload is the **full table key** (tag + variables +
-        endpoints), so the fused multi-group engine can match it against
-        the slots it reserved itself.  Hits and pending hits count one
-        cache hit and refresh recency, exactly like per-set evaluation; a
-        miss leaves the counters untouched — the caller decides how it is
-        built and accounts it.
+        The fused kernel plans and builds without touching the cache, then
+        hands the tests it keeps here as *rounds* of ``(x, y, job, xy)``
+        tuples; ``job`` carries ``s``, ``rz``, ``cells``, ``dense``,
+        ``table`` (``(counts, nz_structural)``) and ``z1d`` (conditioning
+        codes or ``None``), ``xy`` the endpoint codes or ``None``.  For
+        each test this makes exactly the events a one-test-at-a-time
+        evaluation of the same stream would make: table lookup (a hit
+        ends there), else conditioning-codes and endpoint-codes
+        fetch-or-insert, then the table store — a dense table as a sized
+        reservation filled when its round ends, a compressed one
+        directly.  Recency, evictions, spill traffic and counters
+        therefore match per-set evaluation, under one lock acquisition.
+
+        Returns one flag per test: :data:`HIT`, or for a miss the
+        :data:`Z_CACHED` / :data:`XY_CACHED` bits of the encodings that
+        were served from the cache (the work counters bill the rest).
         """
-        key = self.table_key(x, y, s)
-        entry = self.cache.get(key, count=False)
-        if entry is None:
-            return "miss", None
-        self.cache.hits += 1
-        value = entry.value
-        if value[0] is _PENDING:  # type: ignore[index]
-            return "pending", key
-        return "hit", value
-
-    def reserve(self, x: int, y: int, s: tuple[int, ...]) -> None:
-        """Reserve a dense table's cache slot before its batched build.
-
-        The placeholder carries the exact size (``nz * rx * ry`` int64
-        cells — what ``np.bincount`` will produce), so recency and
-        evictions behave exactly as if the looped path had stored the real
-        table at this position.  The value lands later through
-        :meth:`SufficientStatsCache.fill_many`; an oversized reservation is
-        rejected like any oversized put.
-        """
-        ar = self.dataset.arity
-        nz_structural = 1
-        for v in s:
-            nz_structural *= int(ar(v))
-        self.cache.put(
-            self.table_key(x, y, s),
-            (_PENDING, nz_structural),
-            nz_structural * ar(x) * ar(y) * 8,
-        )
-
-    def discard_pending(self, x: int, y: int, sets: Sequence[tuple[int, ...]]) -> None:
-        """Drop any still-pending reservations for the given sets.
-
-        Abort path of a batched group evaluation: placeholders that never
-        received their fill must not outlive the group, or later lookups
-        would trip over them.  Filled (real) entries are left alone.
-        """
-        for s in sets:
-            key = self.table_key(x, y, s)
-            entry = self.cache._entries.get(key)
-            if entry is not None and entry.value[0] is _PENDING:  # type: ignore[index]
-                self.cache.discard(key)
+        cache = self.cache
+        get = cache._get_locked
+        put = cache._put_locked
+        entries = cache._entries
+        flags: list[int] = []
+        with cache._lock:
+            for rnd in rounds:
+                reserved = []
+                for x, y, job, xy in rnd:
+                    s = job.s
+                    key = self.table_key(x, y, s)
+                    if get(key) is not None:
+                        cache.hits += 1
+                        flags.append(HIT)
+                        continue
+                    cache.misses += 1
+                    flag = 0
+                    if s:
+                        ckey = self.codes_key(s)
+                        if get(ckey) is None:
+                            z = job.z1d if job.z1d is not None else self.fresh_z(s, job.rz)
+                            put(ckey, z, z.nbytes, "codes")
+                        else:
+                            flag = Z_CACHED
+                    xkey = self.xy_key(x, y)
+                    if get(xkey) is None:
+                        if xy is None:
+                            xy = self.fresh_xy(x, y)
+                        put(xkey, xy, xy.nbytes, "codes")
+                    else:
+                        flag |= XY_CACHED
+                    if job.dense:
+                        # int64 cells: what the wave's bincount produces.
+                        put(key, (_PENDING, job.table[1]), job.cells * 8, "table")
+                        reserved.append((key, job.table))
+                    else:
+                        put(key, job.table, job.table[0].nbytes, "table")
+                    flags.append(flag)
+                for key, table in reserved:
+                    entry = entries.get(key)
+                    if entry is not None:
+                        entry.value = table
+        return flags
 
     def ci_counts(
         self,
@@ -433,33 +439,24 @@ class CachedTableBuilder:
         y: int,
         s: tuple[int, ...],
         xy_codes: np.ndarray | None = None,
-        known_miss: bool = False,
     ) -> tuple[np.ndarray, int, bool, bool, bool]:
-        """Resolve-or-build; ``known_miss=True`` skips the cache lookup
-        when the caller has just performed it (the batched group planner's
-        compressed-set fallback)."""
+        """Resolve-or-build one table (the looped path's front door)."""
         ds = self.dataset
         rx, ry = ds.arity(x), ds.arity(y)
         rz = [ds.arity(v) for v in s]
 
-        if not known_miss:
-            status, payload = self.lookup(x, y, s)
-            if status == "hit":
-                counts, nz_structural = payload  # type: ignore[misc]
-                return counts, nz_structural, True, True, True
-            # "pending" outside a group evaluation can only be a stale
-            # placeholder from an aborted group that escaped cleanup: fall
-            # through and rebuild — the put below replaces the placeholder,
-            # self-healing the slot.
+        entry = self.cache.get(self.table_key(x, y, s))
+        if entry is not None:
+            counts, nz_structural = entry.value  # type: ignore[misc]
+            return counts, nz_structural, True, True, True
 
-        self.cache.misses += 1
         z_cached = False
         z_codes = None
         if s:
             z_codes, z_cached = self.encoded_z(s, rz)
         xy_cached = xy_codes is not None  # caller already paid for them
         if xy_codes is None:
-            xy_codes, xy_cached = self.encoded_xy(x, y, ry)
+            xy_codes, xy_cached = self.encoded_xy(x, y)
         counts, nz_structural, _dense = ci_counts(
             ds.column(x),
             ds.column(y),
@@ -485,18 +482,17 @@ class CachedTableBuilder:
         entry = self.cache.get(key, count=False)
         if entry is not None:
             return entry.value, True  # type: ignore[return-value]
-        codes, _ = encode_columns(self.dataset.columns(s), list(rz))
+        codes = self.fresh_z(s, rz)
         self.cache.put(key, codes, codes.nbytes, kind="codes")
         return codes, False
 
-    def encoded_xy(self, x: int, y: int, ry: int) -> tuple[np.ndarray, bool]:
+    def encoded_xy(self, x: int, y: int) -> tuple[np.ndarray, bool]:
         """Endpoint cell codes ``x * ry + y``, cached per ``(x, y)`` pair
         so a warm path never re-reads the endpoint columns either."""
         key = self.xy_key(x, y)
         entry = self.cache.get(key, count=False)
         if entry is not None:
             return entry.value, True  # type: ignore[return-value]
-        ds = self.dataset
-        codes = ds.column(x).astype(np.int64) * ry + ds.column(y)
+        codes = self.fresh_xy(x, y)
         self.cache.put(key, codes, codes.nbytes, kind="codes")
         return codes, False

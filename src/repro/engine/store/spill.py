@@ -19,10 +19,10 @@ before the stats cache dropped superset marginalization carry three more
 fields (``varset, dims, dense``); :meth:`SpillTier.get` still promotes
 them, reading only the leading triple.
 
-Only real values spill: the batched group kernel's transient ``_PENDING``
-reservation placeholders are dropped on eviction exactly as before (their
-identity-based sentinel would not survive a pickle round trip, and they
-are meaningless outside the group evaluation that reserved them).
+Only real values spill: a ``_PENDING`` reservation evicted inside the
+commit round that made it is dropped (its identity-based sentinel would
+not survive a pickle round trip, and per-set evaluation never stored a
+value there).
 """
 
 from __future__ import annotations

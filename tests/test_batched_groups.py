@@ -163,6 +163,42 @@ class TestBatchedMatchesLooped:
         fresh = GSquareTest(asia_data).test_group(0, 1, [(2,), (3,)])
         _assert_results_identical(replay, fresh)
 
+    @pytest.mark.parametrize("prefix", [None, 1])
+    def test_failed_build_leaves_cache_and_counters_untouched(
+        self, asia_data, monkeypatch, prefix
+    ):
+        # Plan and build make no cache event; only the commit does.  A
+        # failure inside a wave build therefore leaves the cache (entries,
+        # values, LRU order, counters) and the tester counters as they were.
+        import repro.citests.tablebase as tb
+
+        cache = SufficientStatsCache(max_bytes=4_000)
+        tester = GSquareTest(asia_data, stats_cache=cache)
+        tester.test_groups([(0, 1, [(2,), (3,), (2, 3)]), (4, 5, [(), (6,)])])
+
+        def state():
+            entries = [(k, id(e.value), e.nbytes) for k, e in cache._entries.items()]
+            return entries, cache.stats(), tester.counters.snapshot()
+
+        before = state()
+        items = [(0, 1, [(2,), (4,), (2, 3), (3, 6)]), (4, 5, [(6,), (2, 7)])]
+
+        def boom(*a, **k):
+            raise MemoryError("simulated wave failure")
+
+        monkeypatch.setattr(tb, "fused_cell_counts", boom)
+        with pytest.raises(MemoryError):
+            tester.test_groups(items, prefix=prefix)
+        assert state() == before
+        monkeypatch.undo()
+        fresh = GSquareTest(asia_data)
+        for got, want in zip(
+            tester.test_groups(items, prefix=prefix),
+            fresh.test_groups(items, prefix=prefix),
+            strict=True,
+        ):
+            _assert_results_identical(got, want)
+
     def test_cached_tables_do_not_pin_group_stack(self, asia_data):
         # Stored tables must be standalone copies, not views into the
         # whole group's bincount stack (a view would defeat the cache's

@@ -73,6 +73,44 @@ class TestEdgeTask:
         with pytest.raises(ValueError):
             t.next_group(0)
 
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_successor_cursor_matches_unranking(self, depth):
+        # Windows of varying width, partly committed (the uncommitted tail
+        # is reused), fully committed (continued by successor steps) or
+        # re-fetched unchanged: every set is the one unranked at its rank.
+        t = EdgeTask(0, 1, side1=(2, 3, 4, 5, 6), side2=(7, 8, 9, 10), depth=depth)
+        fresh = EdgeTask(0, 1, side1=t.side1, side2=t.side2, depth=depth)
+        widths = [3, 1, 8, 2, 5, 5, 1, 13, 4]
+        commits = [3, 0, 2, 2, 5, 1, 1, 6, 4]
+        for width, done in zip(widths * 3, commits * 3, strict=True):
+            if t.done:
+                break
+            want = [fresh.conditioning_set(r) for r in range(t.progress, t.progress + width)
+                    if r < t.total_tests]
+            assert t.next_group(width) == want
+            t.advance(min(done, t.remaining))
+        assert t.next_group(4) == [
+            fresh.conditioning_set(r) for r in range(t.progress, min(t.progress + 4, t.total_tests))
+        ]
+
+    def test_cursor_skips_unranking(self, monkeypatch):
+        import repro.core.combinadic as cb
+
+        t = EdgeTask(0, 1, side1=(2, 3, 4, 5, 6), side2=(), depth=2)
+        want = [t.conditioning_set(r) for r in range(3, 6)]
+        t.next_group(3)
+        t.advance(3)
+        calls = []
+        real = cb.unrank_combination
+        monkeypatch.setattr(
+            cb, "unrank_combination", lambda *a: calls.append(a) or real(*a)
+        )
+        assert t.next_group(3) == want
+        assert calls == []
+        t.progress = 1  # outside the window's reach: unrank again
+        t.next_group(1)
+        assert calls == [(5, 2, 1)]
+
 
 class TestWorkPool:
     def make_task(self, u=0, v=1):
@@ -116,6 +154,12 @@ class TestWorkPool:
         pool.push(self.make_task())
         assert pool.n_pushes == 2
         assert pool.n_pops == 1
+
+    def test_count_cycles(self):
+        pool = WorkPool()
+        pool.push(self.make_task())
+        pool.count_cycles(3)
+        assert (pool.n_pushes, pool.n_pops, len(pool), pool.peak_size) == (4, 3, 1, 1)
 
 
 class TestSepSetStore:

@@ -35,7 +35,7 @@ from repro.citests.gsquare import GSquareTest
 from repro.citests.native import native_available
 from repro.citests.tablebase import _cell_dtype
 from repro.datasets.dataset import DiscreteDataset
-from repro.engine.statscache import SufficientStatsCache
+from repro.engine.statscache import _PENDING, SufficientStatsCache
 
 TESTERS = [GSquareTest, ChiSquareTest]
 
@@ -237,6 +237,47 @@ class TestThreadArena:
         for results in got:
             for ref, group in zip(want, results, strict=True):
                 _assert_identical(ref, group)
+
+    def test_threads_sharing_a_cache_commit_exactly(self, asia_data):
+        # Testers on more threads than cores share one small cache: plans
+        # peek without the lock while other threads commit.  Every result
+        # must match an uncached reference, every kept test must be one
+        # hit or one miss, and no reservation may outlive its commit.
+        rng = np.random.default_rng(4)
+        groups = _random_groups(rng, asia_data.n_variables, n_groups=12)
+        want = GSquareTest(asia_data).test_groups(groups, prefix=2)
+        cache = SufficientStatsCache(max_bytes=20_000)
+        got: list = []
+        kept = [0] * 4
+
+        def work(k):
+            tester = GSquareTest(asia_data, stats_cache=cache)
+            for _ in range(5):
+                out = tester.test_groups(groups, prefix=2)
+                got.append(out)
+                kept[k] += sum(len(res) for res in out)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == 20
+        for results in got:
+            for ref, group in zip(want, results, strict=True):
+                _assert_identical(ref, group)
+        assert cache.hits + cache.misses == sum(kept)
+        assert cache.current_bytes == sum(e.nbytes for e in cache._entries.values())
+        assert not any(
+            isinstance(e.value, tuple) and e.value[0] is _PENDING
+            for e in cache._entries.values()
+        )
 
     def test_explicit_arena_wins(self, asia_data):
         arena = KernelArena()

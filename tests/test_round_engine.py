@@ -5,17 +5,30 @@ Each depth runs as rounds: up to ``ROUND_CAP`` ready work items, one
 change how many kernel calls a learn makes: skeleton, sepsets, test counts
 and the recorded trace must be those of the CI-level scheduler and of a
 one-edge-at-a-time loop (which is the engine at ``ROUND_CAP = 1``).
+
+Thin rounds (every live task popped, fewer than ``SPEC_BELOW`` of them)
+evaluate ``LOOKAHEAD`` groups per task and keep a prefix.  That may only
+change the kernel call count too: every observable — stats, counters,
+trace, stats-cache counters and LRU order — must equal the engine with
+speculation off (``SPEC_BELOW = 0``).
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.citests.chisquare import ChiSquareTest
 from repro.citests.gsquare import GSquareTest
+from repro.citests.mutual_info import MutualInformationTest
+from repro.citests.oracle import OracleCITest
 from repro.core import skeleton as skel
 from repro.core.skeleton import learn_skeleton
 from repro.core.trace import TraceRecorder
 from repro.datasets.sampling import forward_sample
+from repro.engine.session import LearningSession
+from repro.engine.statscache import SufficientStatsCache
 from repro.networks.catalog import get_network
 from repro.networks.generators import random_network
 from repro.parallel import WorkerPool
@@ -103,11 +116,13 @@ def test_alarm_rounds_fuse_edges(monkeypatch):
     data = forward_sample(get_network("alarm"), 500, rng=1)
     tester = GSquareTest(data)
     calls: list[list[tuple]] = []
+    kept: list[list] = []
     fused = tester.test_groups
 
-    def spy(items):
+    def spy(items, **kwargs):
         calls.append(list(items))
-        return fused(items)
+        kept.append(fused(items, **kwargs))
+        return kept[-1]
 
     tester.test_groups = spy
     first_round: dict[int, int] = {}
@@ -121,7 +136,9 @@ def test_alarm_rounds_fuse_edges(monkeypatch):
     monkeypatch.setattr(skel, "build_depth_tasks", count_tasks)
     _, _, stats = learn_skeleton(tester, data.n_variables, gs=1)
 
-    assert sum(len(items) for items in calls) == stats.n_groups
+    # Thin rounds evaluate several groups per item and keep a prefix: the
+    # kept groups (gs=1: kept tests) are the one-group rounds' groups.
+    assert sum(len(res) for out in kept for res in out) == stats.n_groups == stats.n_tests
     assert first_round[0] == data.n_variables * (data.n_variables - 1) // 2
     seen: set[int] = set()
     for items in calls:
@@ -132,3 +149,156 @@ def test_alarm_rounds_fuse_edges(monkeypatch):
             assert len(items) == first_round[depth]
     assert seen == set(first_round)
     assert all(first_round[d] > 1 for d in first_round if d <= 2)
+
+
+# ---------------------------------------------------------------------- #
+# speculative thin rounds
+# ---------------------------------------------------------------------- #
+SPEC_GRID = [(la, below) for la in (1, 2, 8, 64) for below in (0, 64, 10**9)]
+
+
+def _stats_doc(stats):
+    doc = dataclasses.asdict(stats)
+    doc.pop("elapsed_s")
+    for depth in doc["depths"]:
+        depth.pop("elapsed_s")
+    return doc
+
+
+def _cache_doc(cache):
+    return dataclasses.asdict(cache.stats()), list(cache._entries)
+
+
+def _spec(monkeypatch, lookahead, below):
+    monkeypatch.setattr(skel, "LOOKAHEAD", lookahead)
+    monkeypatch.setattr(skel, "SPEC_BELOW", below)
+
+
+TESTERS = {
+    "g2": lambda d: GSquareTest(d),
+    "chi2": lambda d: ChiSquareTest(d),
+    "g2-cached": lambda d: GSquareTest(d, stats_cache=SufficientStatsCache(6_000)),
+    "mi": lambda d: MutualInformationTest(d),
+    "mi-threshold": lambda d: MutualInformationTest(d, mode="threshold"),
+}
+
+
+def _observed(data, kind, **kwargs):
+    tester = TESTERS[kind](data)
+    recorder = TraceRecorder()
+    graph, sepsets, stats = learn_skeleton(
+        tester, data.n_variables, recorder=recorder, **kwargs
+    )
+    builder = getattr(tester, "_builder", None)
+    return (
+        sorted(graph.edges()),
+        sepsets.as_dict(),
+        _stats_doc(stats),
+        recorder.depths,
+        None if builder is None else _cache_doc(builder.cache),
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, gs, grouped",
+    [
+        ("g2", 1, True),
+        ("g2", 3, True),
+        ("g2", 1, False),
+        ("g2", 3, False),
+        ("chi2", 1, True),
+        ("chi2", 3, False),
+        ("g2-cached", 1, True),
+        ("g2-cached", 1, False),
+        ("g2-cached", 3, True),
+        ("mi", 1, True),
+        ("mi-threshold", 1, True),
+        ("mi-threshold", 3, False),
+    ],
+)
+def test_speculation_is_invisible(random_data, monkeypatch, kind, gs, grouped):
+    _spec(monkeypatch, 8, 0)
+    want = _observed(random_data, kind, gs=gs, group_endpoints=grouped)
+    for lookahead, below in SPEC_GRID:
+        _spec(monkeypatch, lookahead, below)
+        got = _observed(random_data, kind, gs=gs, group_endpoints=grouped)
+        assert got == want, (lookahead, below)
+
+
+def test_mi_threshold_prefix_follows_its_own_rule(random_data, monkeypatch):
+    # The kept prefix must stop at MI's accepts; stopping at G^2's would
+    # change the test counts of edges where the two rules disagree.
+    _spec(monkeypatch, 8, 10**9)
+    mi = _observed(random_data, "mi-threshold", gs=1)
+    g2 = _observed(random_data, "g2", gs=1)
+    assert mi[2]["n_tests"] != g2[2]["n_tests"]
+    _spec(monkeypatch, 1, 0)
+    assert _observed(random_data, "mi-threshold", gs=1) == mi
+
+
+@pytest.mark.parametrize("gs", [1, 3])
+def test_testers_without_test_groups_stop_at_first_accept(monkeypatch, gs):
+    # The d-separation oracle has no fused kernel: evaluate_prefix runs one
+    # test_group per group and stops at the first accept, so it never
+    # evaluates (or counts) a test the one-group rounds would not run.
+    net = random_network(12, 20, rng=5, max_parents=3)
+
+    def run():
+        tester = OracleCITest.from_network(net, n_samples=100)
+        recorder = TraceRecorder()
+        graph, sepsets, stats = learn_skeleton(tester, net.n_nodes, gs=gs, recorder=recorder)
+        return sorted(graph.edges()), sepsets.as_dict(), _stats_doc(stats), recorder.depths
+
+    _spec(monkeypatch, 8, 0)
+    want = run()
+    _spec(monkeypatch, 8, 10**9)
+    assert run() == want
+
+
+def _session_run(data, budget, store):
+    kwargs = {} if budget is None else {"cache_bytes": budget}
+    steps = []
+    with LearningSession(data, store=store, **kwargs) as session:
+        for request in (
+            {"alpha": 0.05, "gs": 1},
+            {"alpha": 0.01, "gs": 3},
+            {"alpha": 0.05, "gs": 1, "test": "mi"},
+            {"alpha": 0.1, "gs": 8, "test": "chi2", "max_depth": 2},
+        ):
+            res = session.learn(**request)
+            steps.append((sorted(res.skeleton.edges()), _stats_doc(res.stats)))
+            steps.append(_cache_doc(session.cache))
+        steps.append(session.markov_blanket(3).blanket)
+        steps.append(_cache_doc(session.cache))
+    return steps
+
+
+@pytest.mark.parametrize("spill", [False, True])
+@pytest.mark.parametrize("budget", [30_000, 200_000, None])
+def test_session_cache_replay_is_exact(random_data, monkeypatch, tmp_path, budget, spill):
+    def store(name):
+        return str(tmp_path / f"{name}.sqlite") if spill else None
+
+    _spec(monkeypatch, 8, 0)
+    want = _session_run(random_data, budget, store("ref"))
+    for lookahead, below in [(2, 64), (8, 64), (8, 10**9), (64, 10**9)]:
+        _spec(monkeypatch, lookahead, below)
+        got = _session_run(random_data, budget, store(f"{lookahead}-{below}"))
+        assert got == want, (lookahead, below)
+
+
+def test_alarm_gs1_call_budget():
+    data = forward_sample(get_network("alarm"), 2000, rng=1)
+    tester = GSquareTest(data)
+    calls: list[int] = []
+    fused = tester.test_groups
+
+    def spy(items, **kwargs):
+        calls.append(sum(len(sets) for _, _, sets in items))
+        return fused(items, **kwargs)
+
+    tester.test_groups = spy
+    _, _, stats = learn_skeleton(tester, data.n_variables, gs=1)
+    assert len(calls) <= 120
+    # The discarded speculative tests stay a small fraction.
+    assert stats.n_tests <= sum(calls) <= 1.05 * stats.n_tests

@@ -337,6 +337,30 @@ class TestStatsCacheSpill:
         assert not store.spill_tier("fp").has("pending")
         store.close()
 
+    def test_reservations_evicted_in_their_round_never_spill(self, tmp_path):
+        # One kernel call is one replayed round: every miss reserves its
+        # table slot and the round's later endpoint-code inserts evict the
+        # early reservations before they are filled.  Those evictions drop
+        # the slot; only codes and filled tables reach the disk tier.
+        from repro.citests.gsquare import GSquareTest
+
+        data = _make_data(n=400, k=6)
+        store = EngineStore(tmp_path / "s.sqlite")
+        tier = store.spill_tier("fp")
+        cache = SufficientStatsCache(max_bytes=8_000, spill=tier)
+        tester = GSquareTest(data, stats_cache=cache)
+        items = [(x, y, [()]) for x in range(6) for y in range(x + 1, 6)]
+        tester.test_groups(items)
+        tables = [("t", x, y) for x, y, _ in items]
+        evicted = [k for k in tables if k not in cache._entries]
+        assert evicted and cache.spill_stores > 0
+        assert not any(tier.has(k) for k in evicted)
+        # A later round's eviction of the now-filled tables does spill.
+        tester.test_groups([(x, y, [(z,)]) for x, y, _ in items for z in range(6)
+                            if z not in (x, y)])
+        assert any(tier.has(k) for k in tables if k not in cache._entries)
+        store.close()
+
     def test_no_spill_means_no_spill_block(self):
         cache = SufficientStatsCache(max_bytes=128)
         doc = cache.stats().as_dict()
