@@ -7,9 +7,8 @@ from .chisquare import ChiSquareTest
 from .contingency import (
     code_dtype,
     contingency_table,
+    column_counts,
     encode_columns,
-    fused_cell_counts,
-    group_ci_counts,
     n_configurations,
 )
 from .gsquare import GSquareTest, g2_test_from_counts
@@ -33,9 +32,8 @@ __all__ = [
     "OracleCITest",
     "code_dtype",
     "contingency_table",
+    "column_counts",
     "encode_columns",
-    "fused_cell_counts",
-    "group_ci_counts",
     "n_configurations",
     "native_available",
     "native_kind",

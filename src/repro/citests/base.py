@@ -72,16 +72,13 @@ class CITestCounters:
         logs: int,
         xy_reused: bool,
         from_cache: bool | None = None,
-        z_reused: bool = False,
     ) -> None:
         """Account one executed test.
 
         ``from_cache`` is ``None`` when no stats cache is attached, ``True``
         for a test whose table came out of the cache, ``False`` for a
-        cache-enabled test that had to build its table from the data.
-        ``z_reused`` marks a miss whose conditioning-set encoding was
-        served from the codes cache — the d conditioning columns were
-        never read, so they must not be billed.
+        cache-enabled test that had to build its table from the data (and
+        is billed exactly like an uncached test).
         """
         self.n_tests += 1
         if from_cache:
@@ -91,9 +88,8 @@ class CITestCounters:
                 self.cache_misses += 1
             # A group-evaluated test reuses the already-encoded (x, y)
             # columns, so it touches only the d conditioning columns
-            # instead of d + 2; cached encodings and cache hits touch
-            # correspondingly fewer.
-            cols = (0 if z_reused else depth) + (0 if xy_reused else 2)
+            # instead of d + 2; a cache hit touches none.
+            cols = depth + (0 if xy_reused else 2)
             self.data_accesses += m * cols
         self.table_cells += cells
         self.log_ops += logs

@@ -3,34 +3,32 @@
 Generating the contingency table is the dominant step of every CI test
 (Sec. IV-A of the paper): for ``I(X, Y | Z1..Zd)`` each of the ``m`` samples
 selects one cell of an ``(n_z_configs, |X|, |Y|)`` table.  The C++ original
-walks the samples in a tight loop; the NumPy equivalent encodes the cell
-index of every sample with mixed-radix arithmetic and counts with a single
-``np.bincount`` — one pass over each participating column, which is where
-the storage-layout (cache-friendliness) effect shows up.
+walks the samples in a tight loop; :func:`ci_counts` encodes the cell index
+of every sample with mixed-radix arithmetic and counts with a single
+``np.bincount``.
 
 When the structural number of Z configurations greatly exceeds the sample
 count, Z codes are first compressed through ``np.unique`` so the dense table
 stays bounded by ``m * |X| * |Y|`` cells regardless of depth.
 
-Group kernel (the offset-stacked bincount trick)
-------------------------------------------------
-Fast-BNS groups the ``gs`` conditioning sets of one edge so the X/Y work is
-shared across the group (Sec. IV-B).  :func:`group_ci_counts` takes that
-one step further: instead of one ``bincount`` per conditioning set, every
-set ``k`` of the group gets the *offset* ``k * (nz_max * rx * ry)`` added to
-its per-sample cell codes, the offset code arrays are concatenated, and one
-single ``np.bincount`` over ``gs * m`` codes produces all ``gs`` contingency
-tables at once as a ``(gs, nz_max, rx, ry)`` stack.  The per-set tables are
-bit-identical to what per-set :func:`ci_counts` calls would build (integer
-counts over disjoint code ranges), while the per-call NumPy dispatch and the
-X/Y cell codes are paid once per group instead of once per set.
+The column kernel
+-----------------
+:func:`column_counts` fills many *dense* tables at once, straight from the
+variable-major column matrix — the paper's cache-friendly storage (iii)
+with the cell codes built on the fly (iv) instead of stored.  Row ``r`` of
+a wave names its ``k = d + 2`` columns (conditioning variables first, then
+``x``, then ``y``), their place values and a disjoint histogram base::
 
-Batching requires every set of the group to be *dense* (its structural
-``prod(rz)`` at most ``compress_threshold * m``, so no ``np.unique``
-compression kicks in): compressed sets have data-dependent first-axis sizes
-that cannot share a fixed per-set stride.  Callers (the CI testers) route
-compressed-Z sets through the looped per-set path, which also survives as
-the reference oracle for the batched kernel.
+    cell = offset_r + sum_j col[v_j][i] * stride_j
+
+with ``stride_j = prod(rz[l] for l > j) * rx * ry`` for the conditioning
+variables, ``ry`` for ``x`` and ``1`` for ``y`` — the same integer as
+``z * (rx * ry) + x * ry + y + offset``, so every table is bit-identical to
+a per-set :func:`ci_counts` build.  The native backend
+(:mod:`repro.citests.native`) makes one pass over the ``k`` columns per
+row; the NumPy fallback gathers one column position for every row at a
+time and runs one ``bincount`` per wave.  Compressed-Z sets have
+data-dependent first-axis sizes and go through :func:`ci_counts` instead.
 """
 
 from __future__ import annotations
@@ -44,9 +42,7 @@ __all__ = [
     "encode_columns",
     "contingency_table",
     "ci_counts",
-    "group_ci_counts",
-    "fused_cell_counts",
-    "offset_vector",
+    "column_counts",
     "marginal_tables",
     "n_configurations",
 ]
@@ -212,18 +208,17 @@ def ci_counts(
     rz: Sequence[int],
     compress_threshold: int = 4,
     xy_codes: np.ndarray | None = None,
-    z_codes: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, bool]:
-    """Counts ``N[z, x, y]`` for one CI test, with optional precomputed codes.
+    """Counts ``N[z, x, y]`` for one CI test.
 
-    This is the single table-construction entry point shared by the CI
-    testers and the :mod:`repro.engine` sufficient-statistics cache: both
-    paths produce byte-identical tables because they run this exact code.
+    This is the per-set table construction shared by the looped CI testers,
+    the compressed-Z sets of the fused kernel and the stats cache's looped
+    front door: every path produces byte-identical tables because they run
+    this exact code (or, for dense sets, :func:`column_counts`, which
+    counts the same integers).
 
-    ``xy_codes`` (``x * ry + y`` per sample) and ``z_codes`` (mixed-radix
-    encoding of the conditioning columns, *pre-compression*) may be supplied
-    to skip re-encoding — the group-evaluation and encoding-cache reuse
-    hooks.
+    ``xy_codes`` (``x * ry + y`` per sample) may be supplied to skip
+    re-encoding the endpoints — the looped group path's reuse hook.
 
     Returns ``(counts, nz_structural, dense)`` where ``dense`` reports
     whether the first axis covers every structural Z configuration (i.e.
@@ -234,8 +229,7 @@ def ci_counts(
     if xy_codes is None:
         xy_codes = x_col.astype(np.int64) * ry + y_col
     if rz:
-        if z_codes is None:
-            z_codes, _ = encode_columns(list(z_cols), list(rz))
+        z_codes, _ = encode_columns(list(z_cols), list(rz))
         if nz_structural > compress_threshold * max(m, 1):
             _, z_codes = np.unique(z_codes, return_inverse=True)
             nz_dense = int(z_codes.max()) + 1 if m else 0
@@ -252,180 +246,77 @@ def ci_counts(
     return counts, nz_structural, dense
 
 
-# Module-level cache of the group-offset base vector: ``group_ci_counts``
-# used to rebuild ``np.arange(n_sets)`` for every group, a measurable slice
-# of small-group dispatch.  One read-only arange per dtype is grown
-# geometrically and sliced per call instead.
-_ARANGE_CACHE: dict[str, np.ndarray] = {}
-
-
-def offset_vector(n: int, dtype=np.int64) -> np.ndarray:
-    """Read-only ``arange(n)`` served from a grow-only module cache."""
-    dt = np.dtype(dtype)
-    arange = _ARANGE_CACHE.get(dt.str)
-    if arange is None or arange.shape[0] < n:
-        arange = np.arange(max(n, 64), dtype=dt)
-        arange.setflags(write=False)
-        _ARANGE_CACHE[dt.str] = arange
-    return arange[:n]
-
-
-def group_ci_counts(
-    xy_codes: np.ndarray,
-    z_codes_per_set: Sequence[np.ndarray | None],
-    nz_per_set: Sequence[int],
-    rx: int,
-    ry: int,
-) -> np.ndarray:
-    """All contingency tables of one endpoint group from a single bincount.
-
-    This is the batched group kernel (module docstring): the ``gs`` sets of
-    a group share the endpoints ``(x, y)``, so their per-sample cell codes
-    differ only by the conditioning codes and a per-set offset.  Set ``k``
-    occupies the code range ``[k * nz_max * rx * ry, (k + 1) * nz_max * rx *
-    ry)`` where ``nz_max = max(nz_per_set)``; one ``np.bincount`` over the
-    concatenated codes of all sets fills every table at once.
-
-    Parameters
-    ----------
-    xy_codes:
-        Per-sample endpoint cell codes ``x * ry + y`` (shared by the group).
-    z_codes_per_set:
-        Per-set *dense* mixed-radix conditioning codes: either a sequence
-        of 1-D arrays (``None`` for the empty conditioning set) or a 2-D
-        ``(n_sets, m)`` array (the vectorized group-encoding fast path).
-        Every set must be dense — i.e. its structural ``nz`` is the actual
-        first-axis size; the caller is responsible for routing compressed
-        sets to the looped path.
-    nz_per_set:
-        Structural configuration count of each set.
-    rx, ry:
-        Endpoint arities.
-
-    Returns
-    -------
-    A ``(n_sets, nz_max, rx, ry)`` integer stack; set ``k``'s table is the
-    slice ``[k, :nz_per_set[k]]`` and is bit-identical to the table a
-    per-set :func:`ci_counts` call would have built (rows beyond ``nz`` are
-    zero padding).
-    """
-    n_sets = len(nz_per_set)
-    if n_sets != len(z_codes_per_set):
-        raise ValueError("z_codes_per_set and nz_per_set must have equal length")
-    if n_sets == 0:
-        raise ValueError("group must contain at least one conditioning set")
-    nz_max = int(max(nz_per_set))
-    xyr = rx * ry
-    stride = nz_max * xyr
-    if isinstance(z_codes_per_set, np.ndarray) and z_codes_per_set.ndim == 2:
-        # Stacked codes: offset every row in three whole-group in-place
-        # operations.  The 2-D form is *consumed* (mutated) — callers pass
-        # a freshly built group encoding they no longer need.
-        cells2d = z_codes_per_set
-        cells2d *= xyr
-        np.add(cells2d, xy_codes, out=cells2d, casting="unsafe")
-        # The offset base vector comes from the module-level arange cache
-        # instead of a per-call np.arange (the small multiply below stays —
-        # it is n_sets elements, not n_sets * m).
-        offsets = offset_vector(n_sets, cells2d.dtype) * cells2d.dtype.type(stride)
-        cells2d += offsets[:, None]
-        cells = cells2d.ravel()
-    else:
-        parts: list[np.ndarray] = []
-        for k, z_codes in enumerate(z_codes_per_set):
-            if z_codes is None:
-                cell = xy_codes + k * stride
-            else:
-                cell = z_codes * xyr
-                cell += xy_codes
-                if k:
-                    cell += k * stride
-            parts.append(cell)
-        cells = parts[0] if n_sets == 1 else np.concatenate(parts)
-    counts = np.bincount(cells, minlength=n_sets * stride)
-    return counts.reshape(n_sets, nz_max, rx, ry)
-
-
-def fused_cell_counts(
-    z2d: np.ndarray,
-    xy_mat: np.ndarray | None,
-    row_group: np.ndarray | None,
-    scales: np.ndarray | None,
-    offsets: np.ndarray | None,
-    total_cells: int,
-    gather_out: np.ndarray | None = None,
+def column_counts(
+    cols: np.ndarray,
+    ptr: np.ndarray,
+    vars_: np.ndarray,
+    strides: np.ndarray,
+    offsets: np.ndarray,
+    total: int,
+    code_dtype: np.dtype,
+    arena=None,
     use_native: bool = True,
-    xy_runs: list[tuple[int, int, np.ndarray]] | None = None,
-    add_out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One histogram over the cell codes of many groups (the *megagroup*).
+    """One ``total``-cell histogram holding many dense tables (module
+    docstring, "The column kernel").
 
-    Generalizes :func:`group_ci_counts` across groups with different
-    endpoints: row ``r`` of ``z2d`` holds the dense conditioning codes of
-    one (set, group) pair, and its global cell codes are::
+    ``cols`` is the ``(n_vars, m)`` variable-major column matrix.  Row
+    ``r`` owns the entries ``ptr[r]:ptr[r + 1]`` (at least one) of
+    ``vars_`` and ``strides`` and the histogram base ``offsets[r]``; all
+    four plan arrays are int64.  Its cells are
+    ``offsets[r] + sum_j cols[vars_[j]] * strides[j]``, where a row's
+    strides are mixed-radix place values — the last is 1 and each is a
+    multiple of the next — because the NumPy path runs Horner's scheme
+    on their ratios.
 
-        z2d[r, i] * scales[r] + xy_mat[row_group[r], i] + offsets[r]
-
-    where ``scales[r]`` is the group's ``rx * ry``, ``xy_mat`` stacks the
-    distinct endpoint encodings of the fused groups, and ``offsets[r]`` is
-    the set's disjoint base in the flat output (assigned by the caller so
-    each set owns exactly ``nz * rx * ry`` cells — no padding).  A single
-    ``np.bincount`` (or the native one-pass loop, when available and
-    ``use_native``) produces every table of every fused group at once;
-    integer counts over disjoint ranges make the result bit-identical to
-    per-set :func:`ci_counts` builds regardless of path or cell dtype.
-
-    ``scales=None`` (which implies ``offsets=None``) means the caller
-    already folded both into ``z2d`` — each row holds
-    ``z * scale + offset`` (the fused engine memoizes *scaled* rows per
-    ``(set, scale)``), so only the endpoint codes remain to be added
-    before the histogram.  ``xy_runs`` — ``(start, stop, codes)`` slices
-    of rows sharing one endpoint encoding — lets the NumPy path add the
-    endpoint codes as one broadcast per run instead of gathering an
-    ``n x m`` matrix; ``xy_mat``/``row_group`` (the gather form) are then
-    only consulted by the native kernel and may be ``None`` when it is
-    off.
-
-    ``z2d`` is *consumed* (mutated) by the NumPy path; ``gather_out`` may
-    supply a same-shape scratch buffer (the kernel arena's) for the
-    endpoint gather.  All integer dtypes are accepted; the native path
-    handles the int32/int64 pair the fused engine emits and falls back to
-    NumPy otherwise.
-
-    ``add_out`` (an ``intp`` buffer of ``z2d``'s shape, NumPy-path +
-    ``xy_runs`` form only) receives the endpoint-add results instead of
-    mutating ``z2d``: ``bincount`` requires ``intp`` codes and silently
-    materialises a converted copy for anything narrower, so widening
-    *during* the add folds that hidden allocation-plus-pass into work the
-    kernel was doing anyway.  Identical sums, identical histogram.
+    ``code_dtype`` is the accumulator: on the native path it must hold
+    every cell index (``int32`` or ``int64``), on the NumPy path every
+    row-local code ``cell - offsets[r]`` (any integer dtype — the narrower,
+    the less memory traffic).  ``arena`` (a
+    :class:`~repro.citests.arena.KernelArena`) supplies the NumPy path's
+    scratch; ``use_native`` allows the native loop when a backend is
+    available and handles ``cols.dtype``.
     """
-    if use_native and xy_mat is not None:
-        from .native import native_fused_counts
+    if use_native:
+        from .native import native_column_counts
 
-        out = np.zeros(int(total_cells), dtype=np.int64)
-        n_rows = z2d.shape[0]
-        sc = scales if scales is not None else np.ones(n_rows, dtype=np.int64)
-        off = offsets if offsets is not None else np.zeros(n_rows, dtype=np.int64)
-        if native_fused_counts(z2d, xy_mat, row_group, sc, off, out):
+        out = np.zeros(int(total), dtype=np.int64)
+        if native_column_counts(cols, ptr, vars_, strides, offsets, out, code_dtype):
             return out
-    if scales is not None:
-        z2d *= scales[:, None].astype(z2d.dtype, copy=False)
-    if xy_runs is not None:
-        if add_out is not None and offsets is None:
-            for b, c, codes in xy_runs:
-                np.add(z2d[b:c], codes, out=add_out[b:c])
-            return np.bincount(add_out.reshape(-1), minlength=int(total_cells))
-        for b, c, codes in xy_runs:
-            block = z2d[b:c]
-            np.add(block, codes, out=block, casting="unsafe")
-    else:
-        if gather_out is None:
-            gather_out = np.empty(z2d.shape, dtype=xy_mat.dtype)
-        np.take(xy_mat, row_group, axis=0, out=gather_out)
-        np.add(z2d, gather_out, out=z2d, casting="unsafe")
-    if offsets is not None:
-        np.add(z2d, offsets[:, None], out=z2d, casting="unsafe")
-    return np.bincount(z2d.reshape(-1), minlength=int(total_cells))
+    if arena is None:
+        from .arena import KernelArena
+
+        arena = KernelArena()
+    n, m = offsets.shape[0], cols.shape[1]
+    k = np.diff(ptr)
+    # Rows in non-increasing column count: at position j the rows that
+    # still have a column form a prefix, so every step is one gather and
+    # two in-place ops over a leading block.  The histogram does not
+    # depend on row order (each row carries its own base).
+    order = np.argsort(-k, kind="stable")
+    starts = ptr[:-1][order]
+    ks = k[order]
+    acc = arena.take("acc", (n, m), code_dtype)
+    gather = arena.take("gather", (n, m), cols.dtype)
+    for j in range(int(ks[0])):
+        c = int(np.count_nonzero(ks > j))
+        at = starts[:c] + j
+        block = acc[:c]
+        if j:
+            # Horner step: shift the code so far by this column's radix
+            # (its predecessor's place value over its own).
+            radix = strides[at - 1] // strides[at]
+            np.multiply(block, radix.astype(code_dtype)[:, None], out=block)
+        np.take(cols, vars_[at], axis=0, out=gather[:c], mode="clip")
+        if j:
+            np.add(block, gather[:c], out=block, casting="unsafe")
+        else:
+            np.copyto(block, gather[:c], casting="unsafe")
+    # ``bincount`` counts ``intp`` codes (anything narrower is converted in
+    # a hidden copy), so the widening happens here, with the row bases.
+    codes = arena.take("codes", (n, m), np.intp)
+    np.add(acc, offsets[order][:, None], out=codes)
+    return np.bincount(codes.reshape(-1), minlength=int(total))
 
 
 def marginal_tables(

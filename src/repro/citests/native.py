@@ -1,32 +1,31 @@
-"""Optional native backend for the fused cell-code + bincount kernel.
+"""Optional native backend for the one-pass column kernel.
 
-The pure-NumPy fused kernel (:func:`repro.citests.contingency.
-fused_cell_counts`) makes four passes over the ``(n_rows, m)`` cell matrix
-(scale multiply, endpoint gather, offset add, bincount).  A native loop
-does all of it in **one** pass per row::
+The fused kernel (:func:`repro.citests.contingency.column_counts`) fills
+every contingency table of a wave straight from the variable-major column
+matrix.  Row ``r`` of a wave names its ``k = d + 2`` columns ``v_j`` (the
+conditioning variables, then ``x``, then ``y``) with place values
+``stride_j`` and a disjoint histogram base ``off``; the native loop makes
+one pass over those columns per row::
 
-    out[z[r, i] * scale[r] + xy[group[r], i] + offset[r]] += 1
+    out[off + sum_j col[v_j][i] * stride_j] += 1
 
-Counting is pure integer arithmetic over the same codes, so the native
-histogram is *bit-identical* to the NumPy path — it only changes memory
-traffic, which is exactly why the dtype narrowing (int32 cell codes) pays
-off here where ``np.bincount`` would widen to ``intp`` internally anyway.
+No cell-code matrix is materialised: columns are read as stored (1 or 2
+bytes per sample), summed in a small stack block that stays in L1, and
+scattered into the histogram.  Counting is pure integer arithmetic over
+the same integers the NumPy path builds, so the histogram is
+*bit-identical* either way.
 
-Backend auto-detection at import, in order:
-
-1. **numba** — ``@njit`` over the loop above (dtype dispatch for free);
-2. **cext** — a ~20-line C file compiled on demand with the system C
-   compiler (``$CC``/``cc``/``gcc``) into a per-user cached shared object
-   and loaded through ``ctypes``; compilation happens at most once per
-   machine (the cache file is keyed by a source hash);
-3. **None** — pure NumPy everywhere (the container may lack both).
+The backend is a ~30-line C file compiled on demand with the system C
+compiler (``$CC``/``cc``/``gcc``/``clang``) into a per-user cached shared
+object and loaded through ``ctypes``; compilation happens at most once per
+machine (the cache file is keyed by a source hash).  Without a compiler
+the module stays in the pure-NumPy state.
 
 ``REPRO_NATIVE`` environment variable:
 
-* ``0``/``false``/``off`` — disable the native path entirely;
-* ``numba`` / ``cext`` — restrict detection to that backend (used by the
-  CI leg that forces the native path and by A/B benchmarking);
-* unset / anything else — auto-detect.
+* ``0``/``false``/``off``/``no`` — disable the native path entirely (the
+  CI leg that runs the NumPy fallback end to end);
+* anything else, or unset — use the C backend when it compiles.
 
 Every entry point degrades gracefully: a failed probe or compile leaves
 the module in the pure-NumPy state, never raises at import.
@@ -41,7 +40,7 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["native_kind", "native_available", "native_fused_counts"]
+__all__ = ["native_kind", "native_available", "native_column_counts"]
 
 _ENV = os.environ.get("REPRO_NATIVE", "").strip().lower()
 _DISABLED = _ENV in ("0", "false", "off", "no")
@@ -49,64 +48,41 @@ _DISABLED = _ENV in ("0", "false", "off", "no")
 _C_SOURCE = """
 #include <stdint.h>
 
-void fused_counts_i64(const int64_t *z, const int64_t *xy, const int64_t *rg,
-                      const int64_t *scale, const int64_t *off,
-                      int64_t n, int64_t m, int64_t *out)
-{
-    for (int64_t r = 0; r < n; ++r) {
-        const int64_t *zr = z + r * m;
-        const int64_t *pair = xy + rg[r] * m;
-        int64_t s = scale[r], o = off[r];
-        for (int64_t i = 0; i < m; ++i)
-            out[zr[i] * s + pair[i] + o] += 1;
-    }
+#define BLOCK 1024
+
+#define COLUMN_COUNTS(NAME, T, A)                                           \\
+void NAME(const T *cols, int64_t m, int64_t n, const int64_t *ptr,          \\
+          const int64_t *vars, const int64_t *strides, const int64_t *offs, \\
+          int64_t *out)                                                     \\
+{                                                                           \\
+    A acc[BLOCK];                                                           \\
+    for (int64_t r = 0; r < n; ++r) {                                       \\
+        int64_t b = ptr[r], e = ptr[r + 1];                                 \\
+        for (int64_t i0 = 0; i0 < m; i0 += BLOCK) {                         \\
+            int64_t len = m - i0 < BLOCK ? m - i0 : BLOCK;                  \\
+            const T *c = cols + vars[b] * m + i0;                           \\
+            A s = (A)strides[b], o = (A)offs[r];                            \\
+            for (int64_t i = 0; i < len; ++i)                               \\
+                acc[i] = o + (A)c[i] * s;                                   \\
+            for (int64_t j = b + 1; j < e; ++j) {                           \\
+                c = cols + vars[j] * m + i0;                                \\
+                s = (A)strides[j];                                          \\
+                for (int64_t i = 0; i < len; ++i)                           \\
+                    acc[i] += (A)c[i] * s;                                  \\
+            }                                                               \\
+            for (int64_t i = 0; i < len; ++i)                               \\
+                out[acc[i]] += 1;                                           \\
+        }                                                                   \\
+    }                                                                       \\
 }
 
-void fused_counts_i32(const int32_t *z, const int32_t *xy, const int64_t *rg,
-                      const int64_t *scale, const int64_t *off,
-                      int64_t n, int64_t m, int64_t *out)
-{
-    for (int64_t r = 0; r < n; ++r) {
-        const int32_t *zr = z + r * m;
-        const int32_t *pair = xy + rg[r] * m;
-        int64_t s = scale[r], o = off[r];
-        for (int64_t i = 0; i < m; ++i)
-            out[(int64_t)zr[i] * s + (int64_t)pair[i] + o] += 1;
-    }
-}
+COLUMN_COUNTS(column_counts_u8_i32, uint8_t, int32_t)
+COLUMN_COUNTS(column_counts_u8_i64, uint8_t, int64_t)
+COLUMN_COUNTS(column_counts_u16_i32, uint16_t, int32_t)
+COLUMN_COUNTS(column_counts_u16_i64, uint16_t, int64_t)
 """
 
-_BACKEND: str | None = None
-_NB_FUSED = None  # numba dispatcher
-_C_LIB = None  # ctypes handles: {"i32": fn, "i64": fn}
-
-
-# ---------------------------------------------------------------------- #
-# detection
-# ---------------------------------------------------------------------- #
-def _probe_numba() -> bool:
-    global _NB_FUSED
-    try:
-        import numba
-    except Exception:  # repro: ignore[REPRO006] - any import failure means "no backend"
-        return False
-    try:
-
-        @numba.njit(cache=False)
-        def _fused(z, xy, rg, scale, off, out):  # pragma: no cover - jitted
-            n, m = z.shape
-            for r in range(n):
-                zr = z[r]
-                pair = xy[rg[r]]
-                s = scale[r]
-                o = off[r]
-                for i in range(m):
-                    out[zr[i] * s + pair[i] + o] += 1
-
-        _NB_FUSED = _fused
-        return True
-    except Exception:  # pragma: no cover - numba present but broken  # repro: ignore[REPRO006]
-        return False
+_C_LIB = None  # ctypes handles: {(column dtype, accumulator dtype): fn}
 
 
 def _find_compiler() -> str | None:
@@ -148,43 +124,30 @@ def _probe_cext() -> bool:
 
         lib = ctypes.CDLL(so_path)
         i64p = ndpointer(np.int64, flags="C_CONTIGUOUS")
-        i32p = ndpointer(np.int32, flags="C_CONTIGUOUS")
-        lib.fused_counts_i64.restype = None
-        lib.fused_counts_i64.argtypes = [
-            i64p, i64p, i64p, i64p, i64p, ctypes.c_int64, ctypes.c_int64, i64p,
-        ]
-        lib.fused_counts_i32.restype = None
-        lib.fused_counts_i32.argtypes = [
-            i32p, i32p, i64p, i64p, i64p, ctypes.c_int64, ctypes.c_int64, i64p,
-        ]
-        _C_LIB = {"i32": lib.fused_counts_i32, "i64": lib.fused_counts_i64}
+        fns = {}
+        for col, col_dt in (("u8", np.uint8), ("u16", np.uint16)):
+            for acc, acc_dt in (("i32", np.int32), ("i64", np.int64)):
+                fn = getattr(lib, f"column_counts_{col}_{acc}")
+                fn.restype = None
+                fn.argtypes = [
+                    ndpointer(col_dt, ndim=2, flags="C_CONTIGUOUS"),
+                    ctypes.c_int64, ctypes.c_int64, i64p, i64p, i64p, i64p, i64p,
+                ]
+                fns[np.dtype(col_dt), np.dtype(acc_dt)] = fn
+        _C_LIB = fns
         return True
     except Exception:  # repro: ignore[REPRO006] - compile/link probe: failure means "no backend"
         return False
 
 
-def _detect() -> str | None:
-    if _DISABLED:
-        return None
-    if _ENV == "numba":
-        return "numba" if _probe_numba() else None
-    if _ENV == "cext":
-        return "cext" if _probe_cext() else None
-    if _probe_numba():
-        return "numba"
-    if _probe_cext():
-        return "cext"
-    return None
-
-
-_BACKEND = _detect()
+_BACKEND: str | None = None if _DISABLED or not _probe_cext() else "cext"
 
 
 # ---------------------------------------------------------------------- #
 # public API
 # ---------------------------------------------------------------------- #
 def native_kind() -> str | None:
-    """``"numba"``, ``"cext"`` or ``None`` (pure NumPy)."""
+    """``"cext"`` or ``None`` (pure NumPy)."""
     return _BACKEND
 
 
@@ -192,28 +155,51 @@ def native_available() -> bool:
     return _BACKEND is not None
 
 
-def native_fused_counts(
-    z2d: np.ndarray,
-    xy_mat: np.ndarray,
-    row_group: np.ndarray,
-    scales: np.ndarray,
+def native_column_counts(
+    cols: np.ndarray,
+    ptr: np.ndarray,
+    vars_: np.ndarray,
+    strides: np.ndarray,
     offsets: np.ndarray,
     out: np.ndarray,
+    code_dtype: np.dtype,
 ) -> bool:
-    """Accumulate the fused histogram into ``out`` (int64, pre-zeroed).
+    """Accumulate the wave histogram into ``out`` (int64, pre-zeroed).
 
+    ``cols`` is the C-contiguous ``(n_vars, m)`` column matrix; row ``r``
+    of the wave owns the entries ``ptr[r]:ptr[r + 1]`` (at least one) of
+    ``vars_`` and ``strides`` (all int64).  Cell indices are summed in
+    ``code_dtype`` (``int32`` or ``int64``; it must hold every index).
     Returns ``False`` when no backend is available or the dtypes are not
-    handled — the caller then runs the NumPy path.  Unlike the NumPy path
-    the inputs are **not** mutated.
+    handled (``cols`` beyond ``uint16``) — the caller then runs the NumPy
+    path.  Raises ``ValueError`` for a plan the C loop would run outside
+    its arrays with: the loop itself checks nothing.
     """
     if _BACKEND is None:
         return False
-    if z2d.dtype != xy_mat.dtype or z2d.dtype not in (np.int32, np.int64):
+    fn = _C_LIB.get((cols.dtype, np.dtype(code_dtype)))
+    if fn is None or not cols.flags.c_contiguous:
         return False
-    n, m = z2d.shape
-    if _BACKEND == "numba":
-        _NB_FUSED(z2d, xy_mat, row_group, scales, offsets, out)
-        return True
-    fn = _C_LIB["i32" if z2d.dtype == np.int32 else "i64"]
-    fn(z2d, xy_mat, row_group, scales, offsets, n, m, out)
+    _check_plan(cols, ptr, vars_, strides, offsets, out, np.dtype(code_dtype))
+    fn(cols, cols.shape[1], offsets.shape[0], ptr, vars_, strides, offsets, out)
     return True
+
+
+def _check_plan(cols, ptr, vars_, strides, offsets, out, code_dtype) -> None:
+    """Every row has a column, names columns of ``cols`` and addresses
+    cells of ``out`` that ``code_dtype`` can index."""
+    n = offsets.shape[0]
+    if ptr.shape != (n + 1,) or vars_.shape != strides.shape or vars_.ndim != 1:
+        raise ValueError("malformed kernel plan: array shapes disagree")
+    if n == 0:
+        return
+    if ptr[0] != 0 or ptr[-1] != vars_.shape[0] or (np.diff(ptr) < 1).any():
+        raise ValueError("malformed kernel plan: row pointers")
+    if vars_.min() < 0 or vars_.max() >= cols.shape[0]:
+        raise ValueError("kernel plan names a column outside the matrix")
+    if strides.min() < 0 or offsets.min() < 0:
+        raise ValueError("kernel plan has a negative place value or base")
+    top = np.add.reduceat(strides * cols.max(axis=1).astype(np.int64)[vars_], ptr[:-1])
+    top = int((top + offsets).max())
+    if top >= out.shape[0] or top > np.iinfo(code_dtype).max:
+        raise ValueError("kernel plan addresses cells outside the histogram")

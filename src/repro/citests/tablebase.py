@@ -3,8 +3,8 @@
 :class:`GSquareTest <repro.citests.gsquare.GSquareTest>` and
 :class:`ChiSquareTest <repro.citests.chisquare.ChiSquareTest>` differ only
 in the statistic computed from the ``(nz, rx, ry)`` table; everything else
-— encodings, table construction, the stats-cache front door, work-counter
-accounting and the group-evaluation strategy — lives here once.
+— table construction, the stats-cache front door, work-counter accounting
+and the group-evaluation strategy — lives here once.
 
 Two group-evaluation paths, bit-identical by construction and by test:
 
@@ -15,15 +15,15 @@ Two group-evaluation paths, bit-identical by construction and by test:
   number of endpoint groups and evaluates every dense conditioning set of
   every group through one *megagroup* pipeline per wave:
 
-  - cell codes for all sets of all groups are built into one arena-backed
-    ``(n_sets_total, m)`` matrix (vectorized per-depth mixed-radix
-    encoding over the narrow column matrix, or the cached per-set codes on
-    the stats-cache path);
-  - each set gets a disjoint base offset in a flat histogram — exactly
-    ``nz * rx * ry`` cells per set, no padding — and a single
-    ``np.bincount`` (or the native one-pass loop,
-    :mod:`repro.citests.native`) fills every table of every group at once
-    (:func:`~repro.citests.contingency.fused_cell_counts`);
+  - the plan turns each set into one kernel row ``(vars, strides,
+    offset)``: its ``d + 2`` columns (conditioning variables, ``x``,
+    ``y``), their mixed-radix place values (memoised per set next to its
+    ``(rz, nz)``) and a disjoint base in a flat histogram — exactly
+    ``nz * rx * ry`` cells per set, no padding;
+  - :func:`~repro.citests.contingency.column_counts` fills every table of
+    the wave in one pass over the variable-major columns (the native loop
+    of :mod:`repro.citests.native`, or per-column gathers and one
+    ``np.bincount``); no cell codes are stored between calls;
   - sets are bucketed by exact table shape ``(rx, ry, nz)`` for the
     statistic stage: per bucket, one stacked elementwise pass into arena
     scratch and one contiguous-row reduction per set (the same value
@@ -32,43 +32,44 @@ Two group-evaluation paths, bit-identical by construction and by test:
 
   ``test_group`` is the single-group spelling of the same engine.
   Compressed-Z sets (structural ``nz`` beyond ``compress_threshold * m``)
-  are built one at a time through the pure :func:`ci_counts`.
+  are built one at a time through the pure :func:`ci_counts`; they are the
+  only sets whose endpoint codes are ever built.
 
   A fused call runs in three stages:
 
   - **plan** has no side effects: with a stats cache attached it reads
-    resident tables and codes without recency or counter changes, and
-    encodes absent codes fresh;
-  - **build** evaluates every planned set — resident dense tables are
-    copied into their wave's histogram, so one stacked reduction scores
-    hits and fresh builds alike;
+    resident tables without recency or counter changes;
+  - **build** evaluates every planned set — absent tables from the
+    columns, exactly as without a cache; resident dense tables are copied
+    into their wave's histogram, so one stacked reduction scores hits and
+    fresh builds alike;
   - **commit** keeps, per item, either every set or (``prefix=gs``, the
     skeleton's speculative rounds) the groups up to and including the
     first accepting one, and bills only those: work counters, and with a
-    cache every event a one-set-at-a-time evaluation would make — table
-    lookup, codes fetch-or-insert, reservation, fill — replayed in the
-    order of the one-group rounds under one cache-lock acquisition
+    cache the one table lookup and one store each test makes, replayed in
+    the order of the one-group rounds under one cache-lock acquisition
     (:meth:`~repro.engine.statscache.CachedTableBuilder.commit`).  LRU
     recency, evictions, spill traffic and hit/miss counters therefore
-    match the looped event sequence bit for bit, and discarded sets
-    leave no trace.  An exception before the commit leaves the cache and
+    match one-set-at-a-time evaluation of those rounds bit for bit, and
+    discarded sets leave no trace.  An exception before the commit leaves the cache and
     the counters as they were.
 
 All large scratch lives in a :class:`~repro.citests.arena.KernelArena`
 (the calling thread's process-wide one by default; workers share one per
 process): steady-state group evaluation performs zero large allocations.
 
-Work-counter accounting is identical in both paths: per test, the same
-``data_accesses``/``table_cells``/``log_ops`` record the looped path would
-make (group-position XY reuse, stats-cache hit/miss/encoding flags).  The
-:class:`~repro.datasets.encoded.EncodedDataset` memoization layer is
-deliberately *not* credited — see its module docstring.
+Work-counter accounting is identical in both paths and with or without a
+cache: a table hit reads no data; any other test reads its ``d``
+conditioning columns, plus the two endpoint columns when it is the first
+set of its gs-group — ``m * (d + 2)`` or ``m * d`` data accesses (Sec.
+IV-D).  The :class:`~repro.datasets.encoded.EncodedDataset` memoization
+layer is deliberately *not* credited — see its module docstring.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from collections.abc import Callable, Sequence
+from itertools import chain, repeat
 
 import numpy as np
 from scipy.special import gammaincc
@@ -77,25 +78,20 @@ from ..datasets.dataset import DiscreteDataset
 from ..datasets.encoded import EncodedDataset
 from .arena import KernelArena, thread_arena
 from .base import CITestCounters, CITestResult, group_prefix
-from .contingency import ci_counts, fused_cell_counts, n_configurations
+from .contingency import ci_counts, column_counts, n_configurations
 from .native import native_available
 
-__all__ = ["ContingencyTableTest", "chi2_sf", "chi2_sf_array"]
+__all__ = ["ContingencyTableTest", "chi2_sf", "chi2_sf_array", "wave_arena_hint"]
 
 _UINT8_LIMIT = np.iinfo(np.uint8).max
 _UINT16_LIMIT = np.iinfo(np.uint16).max
 _INT32_LIMIT = np.iinfo(np.int32).max
 
 #: Wave caps: one fused build is bounded both in histogram cells (the
-#: bincount output the statistic stage walks) and in code elements
-#: (``n_rows * m``), so arbitrarily large work items stream through the
-#: arena in bounded memory instead of sizing it to the whole chunk.
-#: The code cap doubles as a cache-blocking parameter: the fill, the
-#: endpoint adds and the histogram all re-walk the ``n_rows x m`` code
-#: matrix, so waves are sized to keep it (~2 MB at uint16) inside the
-#: last-level cache — measured optimum on the alarm/2000 workload, where
-#: both smaller (per-wave dispatch overhead) and larger (cache spill)
-#: waves are 10-50% slower.
+#: bincount output the statistic stage walks) and in row samples
+#: (``n_rows * m``, the NumPy path's per-wave code buffers), so
+#: arbitrarily large work items stream through the arena in bounded
+#: memory instead of sizing it to the whole chunk.
 _MAX_WAVE_CELLS = 1 << 20
 _MAX_WAVE_CODES = 1 << 20
 
@@ -104,11 +100,13 @@ def _cell_dtype(limit: int, narrow: bool) -> np.dtype:
     """Smallest dtype that holds cell codes in ``[0, limit]`` exactly.
 
     ``narrow=False`` restricts the choice to the ``int32``/``int64`` pair
-    the native kernel dispatches on; the pure-NumPy path narrows all the
-    way down (``uint8``/``uint16`` for typical Table II waves), halving
-    kernel memory traffic.  Counting is exact at every tier — the codes
-    are bounded by construction, and ``np.bincount`` widens internally —
-    so the histogram is bit-identical across tiers.
+    the native kernel accumulates in (whole cell indices, bounded by the
+    wave's histogram size); the NumPy path accumulates row-local codes
+    (bounded by the largest table of the wave) and narrows all the way
+    down (``uint8``/``uint16`` for typical Table II waves), cutting its
+    memory traffic.  Counting is exact at every tier — the codes are
+    bounded by construction — so the histogram is bit-identical across
+    tiers.
     """
     if narrow:
         if limit <= _UINT8_LIMIT:
@@ -118,6 +116,21 @@ def _cell_dtype(limit: int, narrow: bool) -> np.dtype:
     if limit <= _INT32_LIMIT:
         return np.dtype(np.int32)
     return np.dtype(np.int64)
+
+
+def wave_arena_hint(n_rows: int, n_samples: int) -> dict:
+    """Kernel-arena prewarm hint for waves of ``n_rows`` kernel rows.
+
+    Sizes the NumPy path's widest per-wave buffer (the ``intp`` codes, see
+    :func:`~repro.citests.contingency.column_counts`), capped at the wave
+    code cap; empty under the native kernel, which keeps no per-row
+    scratch.  Purely an allocation warm-up: a wrong hint costs at most a
+    few buffer growth copies, never correctness.
+    """
+    if native_available():
+        return {}
+    n = min(max(int(n_rows), 1) * max(int(n_samples), 1), _MAX_WAVE_CODES)
+    return {"codes": (n, np.dtype(np.intp).str)}
 
 
 def chi2_sf(stat: float, dof: float) -> float:
@@ -164,27 +177,46 @@ class _Scratch:
 class _Job:
     """One planned conditioning set of one group.
 
-    ``dense`` jobs are scored in waves — built there, or copied in when
-    their table was resident in the stats cache as the call planned;
-    compressed-Z jobs are scored one at a time.  After the build,
-    ``table`` holds ``(counts, nz_structural)`` on the cache path and
-    ``cells``/``logs`` the work the test bills when it commits.
+    ``dense`` jobs are scored in waves — built there from the kernel row
+    ``vars`` (``s + (x, y)``) with the set's memoised ``place`` values, or
+    copied in when their table was resident in the stats cache as the call
+    planned; compressed-Z jobs are scored one at a time.  On the cache
+    path ``key`` is the table key, and after the build ``table`` holds
+    ``(counts, nz_structural)``; ``cells``/``logs`` are the work the test
+    bills when it commits.
     """
 
-    __slots__ = ("g", "i", "s", "rz", "nz", "cells", "dense", "z1d", "table", "logs", "offset")
+    __slots__ = (
+        "g", "i", "s", "rz", "nz", "place", "vars", "cells", "dense", "key", "table",
+        "logs", "offset",
+    )
 
-    def __init__(self, g, i, s, rz, nz, cells, dense):
+    def __init__(self, g, i, s, rz, nz, place, vars_, cells, dense):
         self.g = g
         self.i = i
         self.s = s
         self.rz = rz
         self.nz = nz
+        self.place = place
+        self.vars = vars_
         self.cells = cells
         self.dense = dense
-        self.z1d = None
+        self.key = None
         self.table = None
         self.logs = 0
         self.offset = 0
+
+
+def _set_geometry(s: tuple[int, ...], arities: list[int]) -> tuple[list[int], int, tuple]:
+    """``(rz, nz, place)`` of a conditioning set: its arities, structural
+    configuration count, and the place value of every kernel-row column
+    in units of the group's ``(rx * ry, ry, 1)`` (``prod(rz[l] for l >
+    j)`` per conditioning variable, then ``1, 1`` for the endpoints)."""
+    rz = [arities[v] for v in s]
+    place = [1] * (len(s) + 2)
+    for j in range(len(s) - 2, -1, -1):
+        place[j] = place[j + 1] * rz[j + 1]
+    return rz, n_configurations(rz), tuple(place)
 
 
 def _runs(jobs: list[_Job]) -> list[tuple[int, int, int]]:
@@ -274,34 +306,12 @@ class ContingencyTableTest:
         self.counters = CITestCounters()
         self.encoded = encoded if encoded is not None else EncodedDataset(dataset)
         self._arena = arena
-        # Memo of dense conditioning-code rows keyed by set tuple (the set
-        # of distinct dense Z encodings a skeleton run touches is small —
-        # a few hundred — while the test stream revisits them thousands of
-        # times), plus a derived cache of *scaled* rows keyed
-        # ``(set, rx * ry)``: storing ``z * scale`` lets a wave fill land
-        # each row on its slab base with one constant add, so the kernel
-        # never multiplies, and a scaled miss over a memoised set is one
-        # vector multiply rather than a re-encode.  Like the EncodedDataset
-        # memoization, this is pure allocation reuse: values are exactly
-        # (``scale`` times) the codes a fresh encode would produce, and it
-        # is deliberately not credited in the work counters.  Each tier is
-        # FIFO-bounded to ~8 MiB.  The dicts live on the EncodedDataset
-        # (when it memoizes) so warm rows are shared across testers over
-        # the same data, exactly like ``xy_codes``; non-memoizing encoded
-        # layers (baseline learners) get private throwaway dicts.
-        if self.encoded.memoize:
-            self._z_rows = self.encoded.z_rows
-            self._z_scaled = self.encoded.z_scaled
-        else:
-            self._z_rows = {}
-            self._z_scaled = {}
-        self._z_rows_cap = max(64, (1 << 23) // (4 * max(dataset.n_samples, 1)))
-        # Depth-0 stand-in for the wave fill's concatenate (uint8 widens
-        # into any wave dtype without copies of its own).
-        self._zero_row = np.zeros(dataset.n_samples, np.uint8)
-        # Companion memo of per-set geometry ``s -> (rz, nz)`` (tiny
-        # tuples; the planner touches it once per (group, set) pair).
-        self._set_info: dict[tuple[int, ...], tuple[list[int], int]] = {}
+        # The kernel's column matrix, resolved on first use (``_columns``).
+        self._cols: np.ndarray | None = None
+        # Memo of per-set geometry ``s -> (rz, nz, place)`` (tiny tuples;
+        # the planner touches it once per (group, set) pair, so a kernel
+        # row needs no per-row arithmetic).
+        self._set_info: dict[tuple[int, ...], tuple[list[int], int, tuple]] = {}
         #: Per-instance native-path switch (A/B benchmarking, tests); the
         #: effective path is this AND the import-time backend detection.
         self.use_native = True
@@ -320,6 +330,22 @@ class ContingencyTableTest:
     def arena(self) -> KernelArena:
         """The kernel scratch pool of the current call (class docstring)."""
         return self._arena if self._arena is not None else thread_arena()
+
+    def _columns(self) -> np.ndarray:
+        """The ``(n_vars, m)`` column matrix the kernel reads: the dataset's
+        own values when they are variable-major, C-contiguous and
+        ``uint8``/``uint16``, else the encoded layer's narrow copy."""
+        if self._cols is None:
+            values = self.dataset.values
+            if (
+                self.dataset.layout == "variable-major"
+                and values.dtype in (np.uint8, np.uint16)
+                and values.flags.c_contiguous
+            ):
+                self._cols = values
+            else:
+                self._cols = self.encoded.cols_matrix()
+        return self._cols
 
     # ------------------------------------------------------------------ #
     # statistic hooks (subclass responsibility)
@@ -341,9 +367,8 @@ class ContingencyTableTest:
     def test(self, x: int, y: int, s: Sequence[int]) -> CITestResult:
         """Single CI test ``I(x, y | s)``."""
         s = tuple(int(v) for v in s)
-        # With a stats cache the builder resolves (and memoizes) the XY
-        # encoding lazily — only on a table miss — so a warm path never
-        # re-reads the endpoint columns.
+        # With a stats cache the builder reads the endpoint columns only on
+        # a table miss, so a warm path never touches them.
         xy_codes = None if self._builder is not None else self.encoded.xy_codes(x, y)
         return self._test_single(x, y, s, xy_codes, xy_reused=False)
 
@@ -433,12 +458,8 @@ class ContingencyTableTest:
         rz = [ds.arity(v) for v in s]
 
         from_cache: bool | None = None
-        z_reused = False
         if self._builder is not None:
-            counts, nz_structural, from_cache, z_reused, xy_cached = self._builder.ci_counts(
-                x, y, s, xy_codes=xy_codes
-            )
-            xy_reused = xy_reused or xy_cached
+            counts, nz_structural, from_cache = self._builder.ci_counts(x, y, s)
         else:
             counts, nz_structural, _dense = ci_counts(
                 ds.column(x),
@@ -458,7 +479,6 @@ class ContingencyTableTest:
             logs=n_logs,
             xy_reused=xy_reused,
             from_cache=from_cache,
-            z_reused=z_reused,
         )
         return res
 
@@ -504,7 +524,6 @@ class ContingencyTableTest:
         results: list[list[CITestResult | None]] = [
             [None] * len(sets) for _, _, sets in items
         ]
-        group_xy: list[np.ndarray | None] = [None] * len(items)
         gshape: list[tuple[int, int]] = [(0, 0)] * len(items)
         entries: list[_Job] = []  # dense sets, scored in waves
         loose: list[_Job] = []  # compressed sets, scored one at a time
@@ -513,20 +532,15 @@ class ContingencyTableTest:
         jobs: list[list[_Job]] = []
 
         # -- plan: no side effects on the cache or the counters ---------- #
-        # With a cache, resident tables and codes are read without recency
-        # or counter effects, and whatever is absent is built from codes
-        # encoded fresh here (never the EncodedDataset z-row memo, which
-        # would pin every served set's row); commit replays the cache
-        # events of the tests that count.
+        # With a cache, resident tables are read without recency or counter
+        # effects; commit replays the cache events of the tests that count.
         peek = builder.cache.peek if builder is not None else None
         planned: dict[tuple, _Job] = {}
-        zcodes: dict[tuple[int, ...], np.ndarray] = {}
         for g, (x, y, sets) in enumerate(items):
             ry = ar[y]
             sc = ar[x] * ry
             gshape[g] = (ar[x], ry)
-            if builder is None:
-                group_xy[g] = self.encoded.xy_codes(x, y)
+            pair = (x, y)
             row: list[_Job] = []
             jobs.append(row)
             for i, s in enumerate(sets):
@@ -538,35 +552,21 @@ class ContingencyTableTest:
                         continue
                 info = set_info.get(s)
                 if info is None:
-                    rz = [ar[v] for v in s]
-                    nz = n_configurations(rz)
-                    set_info[s] = (rz, nz)
-                else:
-                    rz, nz = info
+                    info = set_info[s] = _set_geometry(s, ar)
+                rz, nz, place = info
                 dense = nz <= dense_limit
-                job = _Job(g, i, s, rz, nz, nz * sc, dense)
+                job = _Job(g, i, s, rz, nz, place, s + pair, nz * sc, dense)
                 row.append(job)
                 if builder is not None:
+                    job.key = key
                     planned[key] = job
                     job.table = peek(key)
-                    if job.table is None:
-                        if s:
-                            z = zcodes.get(s)
-                            if z is None:
-                                z = peek(builder.codes_key(s))
-                                if z is None:
-                                    z = builder.fresh_z(s, rz)
-                                zcodes[s] = z
-                            job.z1d = z
-                        if group_xy[g] is None:
-                            xy = peek(builder.xy_key(x, y))
-                            group_xy[g] = xy if xy is not None else builder.fresh_xy(x, y)
                 (entries if dense else loose).append(job)
 
         # -- build -------------------------------------------------------- #
         if entries:
             for wave in self._waves(entries, gshape):
-                self._build_wave(wave, items, gshape, group_xy, results)
+                self._build_wave(wave, items, gshape, results)
         for job in loose:
             x, y, _sets = items[job.g]
             rx, ry = gshape[job.g]
@@ -574,13 +574,11 @@ class ContingencyTableTest:
                 counts, nz_structural, _dense = ci_counts(
                     ds.column(x),
                     ds.column(y),
-                    ds.columns(job.s) if job.z1d is None else [],
+                    ds.columns(job.s),
                     rx,
                     ry,
                     job.rz,
                     compress_threshold=self.compress_threshold,
-                    xy_codes=group_xy[job.g],
-                    z_codes=job.z1d,
                 )
                 job.table = (counts, nz_structural)
             counts, nz_structural = job.table
@@ -611,46 +609,33 @@ class ContingencyTableTest:
         # -- commit: accounting (and cache events) of the kept tests ------ #
         # Commit order is the rounds a one-group-per-item engine would run:
         # group j of every item that keeps it, then group j + 1.  A test
-        # at position i bills the endpoint columns only as the first set of
+        # at position i reads the endpoint columns only as the first set of
         # its gs-group (the group-evaluation XY reuse).
-        from ..engine.statscache import HIT, XY_CACHED, Z_CACHED
-
         step = prefix or max(keep, default=1) or 1
         seq: list[tuple[int, _Job]] = []
-        if builder is None:
+        rounds: list[list[_Job]] = []
+        for j in range(0, max(keep, default=0), step):
+            start = len(seq)
             for g, row in enumerate(jobs):
-                seq.extend(enumerate(row[: keep[g]]))
-            flags = [0] * len(seq)
-        else:
-            rounds = []
-            for j in range(0, max(keep, default=0), step):
-                rnd = []
-                for g, (x, y, _sets) in enumerate(items):
-                    row, xy = jobs[g], group_xy[g]
-                    for i in range(j, min(j + step, keep[g])):
-                        rnd.append((x, y, row[i], xy))
-                        seq.append((i, row[i]))
-                rounds.append(rnd)
-            flags = builder.commit(rounds)
+                seq.extend((i, row[i]) for i in range(j, min(j + step, keep[g])))
+            rounds.append([job for _, job in seq[start:]])
+        hits = builder.commit(rounds) if builder is not None else [False] * len(seq)
         per_depth: dict[int, int] = {}
-        n_kept = hits = cells = logs = cols = 0
-        for (i, job), flag in zip(seq, flags, strict=True):
+        n_kept = n_hits = cells = logs = cols = 0
+        for (i, job), hit in zip(seq, hits, strict=True):
             d = len(job.s)
             n_kept += 1
             cells += job.cells
             logs += job.logs
             per_depth[d] = per_depth.get(d, 0) + 1
-            if flag == HIT:
-                hits += 1
-                continue
-            if not flag & Z_CACHED:
-                cols += d
-            if not (flag & XY_CACHED or i % step):
-                cols += 2
+            if hit:
+                n_hits += 1
+            else:
+                cols += d if i % step else d + 2
         counters = self.counters
         if builder is not None:
-            counters.cache_hits += hits
-            counters.cache_misses += n_kept - hits
+            counters.cache_hits += n_hits
+            counters.cache_misses += n_kept - n_hits
         counters.n_tests += n_kept
         counters.data_accesses += m * cols
         counters.table_cells += cells
@@ -668,8 +653,7 @@ class ContingencyTableTest:
 
         Shape-major job order (stable, groups stay whole — the shape is a
         per-group property): each wave then carries only a couple of
-        endpoint-shape slabs, cutting per-slab elementwise dispatches,
-        while group runs stay contiguous for the broadcast endpoint adds.
+        endpoint-shape slabs, cutting per-slab elementwise dispatches.
         Per-set results are order-independent (cache events are replayed
         at commit, in plan order).  A single oversized job still gets a
         one-job wave — the caps bound steady-state arena footprint, they
@@ -703,7 +687,6 @@ class ContingencyTableTest:
         wave: list[_Job],
         items: list[tuple[int, int, list[tuple[int, ...]]]],
         gshape: list[tuple[int, int]],
-        group_xy: list[np.ndarray | None],
         results: list[list[CITestResult | None]],
     ) -> None:
         """Fused build + statistics for one wave of dense jobs.
@@ -735,13 +718,13 @@ class ContingencyTableTest:
             wave[w].offset = total
             total += nz * sc
         if builder is None:
-            counts = self._count(wave, scales_l, total, group_xy)
+            counts = self._count(wave, scales_l, total, gshape)
             built = wave
         else:
             built = [e for e in wave if e.table is None]
             if built:
                 sc_built = [scales_l[w] for w, e in enumerate(wave) if e.table is None]
-                counts = self._count(built, sc_built, total, group_xy)
+                counts = self._count(built, sc_built, total, gshape)
             else:
                 counts = np.zeros(total, dtype=np.int64)
             if len(built) < n:
@@ -855,197 +838,40 @@ class ContingencyTableTest:
         rows: list[_Job],
         scales_l: list[int],
         total: int,
-        group_xy: list[np.ndarray | None],
+        gshape: list[tuple[int, int]],
     ) -> np.ndarray:
         """Flat histogram of ``total`` cells holding the tables of ``rows``
         (jobs with laid-out offsets; ``scales_l`` their ``rx * ry``).
 
-        Rows keep the wave's job order — group runs stay contiguous, so
-        the endpoint codes enter the cell matrix as one broadcast add per
-        run instead of an ``n x m`` gather.  The histogram layout is
-        row-order independent (each row carries its own offset).
+        The plan arrays are assembled without per-row arithmetic: every
+        row's place values come from the set memo and are scaled by one
+        vectorised multiply — ``rx * ry`` for the conditioning columns,
+        ``ry`` for ``x`` and ``1`` for ``y``.
         """
-        m = self.dataset.n_samples
-        arena = self.arena
         n = len(rows)
+        k = np.fromiter((len(e.vars) for e in rows), np.int64, n)
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(k, out=ptr[1:])
+        size = int(ptr[-1])
+        vars_ = np.fromiter(chain.from_iterable(e.vars for e in rows), np.int64, size)
+        strides = np.fromiter(chain.from_iterable(e.place for e in rows), np.int64, size)
+        scale = np.repeat(np.fromiter(scales_l, np.int64, n), k)
+        scale[ptr[1:] - 2] = np.fromiter((gshape[e.g][1] for e in rows), np.int64, n)
+        scale[ptr[1:] - 1] = 1
+        strides *= scale
+        offsets = np.fromiter((e.offset for e in rows), np.int64, n)
         native_ok = self.use_native and native_available()
-        cell_dt = _cell_dtype(total, narrow=not native_ok)
-
-        # -- conditioning codes (scaled, offset) into the cell matrix ----- #
-        # Row w is filled with ``z_codes * scale + offset`` directly: the
-        # z-row memo stores *scaled* rows keyed ``(set, scale)``, so a wave
-        # fill is one ``concatenate`` of memo rows (a C memcpy/cast loop —
-        # no per-row ufunc dispatch) plus one broadcast add that lands
-        # every row on its slab base.  Integer arithmetic bounded by
-        # ``total``, so exact in ``cell_dt`` (and the concatenate casts —
-        # narrow memo row into the wave dtype — are value-preserving
-        # widenings).
-        z2d = arena.take("cells", (n, m), cell_dt)
-        od_all = np.fromiter((e.offset for e in rows), cell_dt, n)
-        if self._builder is not None:
-            # Cache path: the raw codes come from the plan (cache or fresh
-            # encode); one concatenate (value-preserving casts: codes are
-            # below ``nz``) then one broadcast scale and offset each.
-            zero_row = self._zero_row
-            np.concatenate(
-                [e.z1d if e.s else zero_row for e in rows],
-                out=z2d.reshape(-1),
-                casting="unsafe",
-            )
-            z2d *= np.fromiter(scales_l, cell_dt, n)[:, None]
-            z2d += od_all[:, None]
-        else:
-            zmemo = self._z_rows
-            zscaled = self._z_scaled
-            cap = self._z_rows_cap
-            zero_row = self._zero_row
-            fill: list[np.ndarray] = []
-            miss: list[int] = []
-            first_at: dict[tuple[int, ...], int] = {}
-            for w, e in enumerate(rows):
-                if not e.s:
-                    fill.append(zero_row)  # depth-0: cell code is xy + offset
-                    continue
-                sc = scales_l[w]
-                key = (e.s, sc)
-                row = zscaled.get(key)
-                if row is None:
-                    base = zmemo.get(e.s)
-                    if base is None:
-                        first_at.setdefault(e.s, w)
-                        miss.append(w)
-                        fill.append(zero_row)  # placeholder, rewritten below
-                        continue
-                    lim = e.nz * sc
-                    if lim <= _INT32_LIMIT:
-                        row = base * np.int32(sc)
-                        if lim <= _UINT16_LIMIT:
-                            # Narrow storage halves the memo-read traffic
-                            # of every later fill; the values are unchanged.
-                            row = row.astype(
-                                np.uint8 if lim <= _UINT8_LIMIT else np.uint16
-                            )
-                        if len(zscaled) >= cap:
-                            zscaled.pop(next(iter(zscaled)))
-                        zscaled[key] = row
-                    else:  # pragma: no cover - needs a >2^31-cell single table
-                        row = base.astype(np.int64) * sc
-                fill.append(row)
-            np.concatenate(fill, out=z2d.reshape(-1))
-            z2d += od_all[:, None]
-            if miss:
-                self._encode_missing(rows, miss, first_at, z2d, od_all, scales_l)
-
-        # -- endpoint codes ----------------------------------------------- #
-        runs = _runs(rows)
-        if native_ok:
-            # The native kernel wants the gather form: a stacked endpoint
-            # matrix plus a per-row group index.
-            gpos: dict[int, int] = {}
-            for _, _, g in runs:
-                if g not in gpos:
-                    gpos[g] = len(gpos)
-            xy_mat = arena.take("xymat", (len(gpos), m), cell_dt)
-            for g, k in gpos.items():
-                np.copyto(xy_mat[k], group_xy[g], casting="unsafe")
-            row_group = np.fromiter((gpos[e.g] for e in rows), np.int64, n)
-        else:
-            xy_mat = row_group = None
-
-        return fused_cell_counts(
-            z2d,
-            xy_mat,
-            row_group,
-            None,
-            None,
+        # Native: whole cell indices; NumPy: row-local codes (see
+        # ``_cell_dtype``).
+        limit = total if native_ok else max(e.cells for e in rows)
+        return column_counts(
+            self._columns(),
+            ptr,
+            vars_,
+            strides,
+            offsets,
             total,
+            _cell_dtype(limit, narrow=not native_ok),
+            arena=self.arena,
             use_native=native_ok,
-            # Raw (int64) endpoint rows: the widening add into ``add_out``
-            # replaces both a per-run narrowing cast and bincount's hidden
-            # intp conversion copy.
-            xy_runs=[(b, c, group_xy[g]) for b, c, g in runs],
-            add_out=None if native_ok else arena.take("codes", (n, m), np.intp),
         )
-
-    def _encode_missing(
-        self,
-        wave: list[_Job],
-        miss: list[int],
-        first_at: dict[tuple[int, ...], int],
-        z2d: np.ndarray,
-        od_all: np.ndarray,
-        scales_l: list[int],
-    ) -> None:
-        """Encode the wave's memo-missing conditioning sets, then fill rows.
-
-        Each *distinct* missing set is mixed-radix encoded once (vectorized
-        per depth block over the narrow column matrix), scaled per distinct
-        ``(set, scale)`` pair, memoised as an ``int32`` row, and every
-        missing row — first occurrence or in-wave duplicate — is then
-        served from the scaled row with its offset added, exactly like a
-        memo hit.
-        """
-        cols = self.encoded.cols_matrix()
-        m = cols.shape[1]
-        arena = self.arena
-        distinct = sorted(first_at.values(), key=lambda w: len(wave[w].s))
-        k = len(distinct)
-        zenc = arena.take("zenc", (k, m), np.int32)
-        b = 0
-        while b < k:
-            d = len(wave[distinct[b]].s)
-            c = b
-            while c < k and len(wave[distinct[c]].s) == d:
-                c += 1
-            rows = [wave[w] for w in distinct[b:c]]
-            block = zenc[b:c]
-            gather = arena.take("gather", (c - b, m), cols.dtype)
-            np.take(
-                cols,
-                np.fromiter((e.s[0] for e in rows), np.intp, c - b),
-                axis=0,
-                out=gather,
-            )
-            np.copyto(block, gather, casting="unsafe")
-            for j in range(1, d):
-                radix = np.fromiter((e.rz[j] for e in rows), np.int32, c - b)
-                block *= radix[:, None]
-                np.take(
-                    cols,
-                    np.fromiter((e.s[j] for e in rows), np.intp, c - b),
-                    axis=0,
-                    out=gather,
-                )
-                np.add(block, gather, out=block, casting="unsafe")
-            b = c
-        spos = {wave[w].s: pos for pos, w in enumerate(distinct)}
-        made: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
-        for w in miss:
-            e = wave[w]
-            sc = scales_l[w]
-            key = (e.s, sc)
-            row = made.get(key)
-            if row is None:
-                lim = e.nz * sc
-                if lim <= _INT32_LIMIT:
-                    # The scaled copy doubles as the scaled-cache row below.
-                    row = zenc[spos[e.s]] * np.int32(sc)
-                    if lim <= _UINT16_LIMIT:
-                        row = row.astype(
-                            np.uint8 if lim <= _UINT8_LIMIT else np.uint16
-                        )
-                    made[key] = row
-                else:  # pragma: no cover - needs a >2^31-cell single table
-                    row = zenc[spos[e.s]].astype(np.int64) * sc
-            np.add(row, od_all[w : w + 1], out=z2d[w], casting="unsafe")
-        zmemo = self._z_rows
-        zscaled = self._z_scaled
-        cap = self._z_rows_cap
-        for s, pos in spos.items():
-            if len(zmemo) >= cap:
-                zmemo.pop(next(iter(zmemo)))
-            zmemo[s] = zenc[pos].copy()
-        for key, row in made.items():
-            if len(zscaled) >= cap:
-                zscaled.pop(next(iter(zscaled)))
-            zscaled[key] = row

@@ -1,20 +1,26 @@
 """Shared encoded-dataset layer.
 
-Every CI test starts by re-deriving the same integer encodings from the
-raw category columns: the endpoint pair is folded into per-sample cell
-codes ``x * ry + y`` and each column is widened to int64 before any
-mixed-radix arithmetic.  Across a learning run the same ``(x, y)`` pairs
-and the same columns are encoded thousands of times — pure re-computation,
-because encodings depend only on the data.
+The looped (per-set) CI tests start by re-deriving the same integer
+encodings from the raw category columns: the endpoint pair is folded into
+per-sample cell codes ``x * ry + y`` and each column is widened to int64
+before any mixed-radix arithmetic.  Across a learning run the same
+``(x, y)`` pairs and the same columns are encoded thousands of times —
+pure re-computation, because encodings depend only on the data.
 
-:class:`EncodedDataset` memoizes exactly those two artefacts for one
+:class:`EncodedDataset` memoizes those artefacts for one
 :class:`~repro.datasets.dataset.DiscreteDataset`:
 
 * ``col64(i)`` — the int64-widened (contiguous, read-only) column of
   variable ``i``, computed once per variable;
 * ``xy_codes(x, y)`` — the per-sample endpoint cell codes, memoized per
   ordered pair under a bounded LRU (pairs are quadratic in the variable
-  count, so the table is capped, unlike the linear ``col64`` cache).
+  count, so the table is capped, unlike the linear ``col64`` cache);
+* ``cols_matrix()`` — the narrow variable-major column matrix the fused
+  column kernel reads when the dataset's own values are not already
+  stored that way.
+
+The fused kernel stores no codes at all: it builds every cell index on
+the fly from the columns (:func:`repro.citests.contingency.column_counts`).
 
 One instance is meant to be shared by everything testing against the same
 dataset: the sequential engine's testers, every parallel worker (the
@@ -97,15 +103,6 @@ class EncodedDataset:
         self._col64: dict[int, np.ndarray] = {}
         self._cols_matrix: np.ndarray | None = None
         self._xy: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
-        #: Conditioning-set code memos shared by every (memoizing) fused
-        #: tester over this dataset: radix codes keyed by set tuple, plus
-        #: the derived ``codes * (rx * ry)`` rows keyed ``(set, scale)``.
-        #: Owned here — like ``xy_codes`` — because the values depend only
-        #: on the data, so warm rows survive tester construction; the
-        #: fused kernel (:mod:`repro.citests.tablebase`) fills and bounds
-        #: them.
-        self.z_rows: dict[tuple[int, ...], np.ndarray] = {}
-        self.z_scaled: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
         #: Attacher-side :class:`~repro.datasets.shm.AttachedBlocks` keeping
         #: the shared mappings alive; ``None`` for ordinary instances.
         self.shm = None
@@ -158,8 +155,8 @@ class EncodedDataset:
         """All columns stacked as one read-only ``(n_vars, m)`` matrix.
 
         Stored in the smallest unsigned dtype covering the largest arity
-        (the dtype-narrowing tier of the fused kernel: gathers move
-        1–2 bytes per sample instead of 8).  Values equal ``column(i)``
+        (the fused column kernel reads 1–2 bytes per sample instead of
+        8).  Values equal ``column(i)``
         exactly, so any arithmetic over gathered rows matches the widened
         per-column path bit for bit once cast.  Built lazily, memoized
         under ``memoize=True`` like ``col64``.
@@ -185,46 +182,11 @@ class EncodedDataset:
 
         Uses the memoized widened columns, so repeated encodings of
         overlapping tuples skip the per-column dtype widening; the codes
-        themselves are not memoized here (the sufficient-statistics cache
-        owns tuple-level code reuse, with exact work accounting).
+        themselves are never memoized.
         """
         from ..citests.contingency import encode_columns
 
         return encode_columns([self.col64(v) for v in s], list(rz))
-
-    def encode_z_group(self, sets, rz_per_set) -> np.ndarray:
-        """Vectorized mixed-radix codes of several same-depth tuples.
-
-        Returns a ``(n_sets, m)`` int64 array whose row ``k`` is bit-
-        identical to ``encode_z(sets[k], rz_per_set[k])[0]``: the radix
-        combine runs level by level over the whole group (one multiply and
-        one add per level) instead of set by set.  All tuples must share
-        one depth ``>= 1``.
-
-        Intended for the batched kernel's dense sets, whose radix products
-        are bounded by ``compress_threshold * m`` — there is no int64
-        overflow fallback here (cf. ``encode_columns``).
-        """
-        d = len(sets[0])
-        if d < 1 or any(len(s) != d for s in sets):
-            raise ValueError("encode_z_group requires same-depth tuples of size >= 1")
-        codes = self._gather64([s[0] for s in sets])
-        for j in range(1, d):
-            codes *= np.array([int(rz[j]) for rz in rz_per_set], dtype=np.int64)[:, None]
-            codes += self._gather64([s[j] for s in sets])
-        return codes
-
-    def _gather64(self, variables) -> np.ndarray:
-        """``(len(variables), m)`` int64 matrix of the named columns.
-
-        Row-wise memcpy of the memoized widened columns — cheaper than
-        ``np.stack``'s generic machinery for the small row counts of a
-        group.
-        """
-        out = np.empty((len(variables), self.dataset.n_samples), dtype=np.int64)
-        for k, v in enumerate(variables):
-            out[k] = self.col64(v)
-        return out
 
     # ------------------------------------------------------------------ #
     # shared-memory dataset plane

@@ -1138,7 +1138,7 @@ class EngineServer:
 
     def stats(self) -> dict:
         """JSON-able snapshot of the whole server."""
-        manifest = self.manifest()
+        totals = self._run_totals()
         with self._registry:
             live = {fp: slot for fp, slot in self._slots.items()}
         per_session = {}
@@ -1169,10 +1169,27 @@ class EngineServer:
                 "lane_weights": lane_weights,
             },
             "datasets": self.datasets(),
-            "totals": manifest["totals"],
+            "totals": totals,
             "per_session": per_session,
             "store": None if self.store is None else self.store.stats(),
         }
+
+    def _run_totals(self) -> dict:
+        """``manifest()["totals"]`` without building the run document: the
+        same per-session running totals, merged in the same order (live
+        sessions, retired, extras, unrouted), so the floats are equal."""
+        with self._registry:
+            live = list(self._slots.values())
+        parts = []
+        for slot in live:
+            with slot.lock:
+                if not slot.retired:
+                    parts.append(slot.manifest.totals())
+        with self._misc:
+            parts.extend(doc["totals"] for doc in self._retired_docs)
+            parts.extend(doc["totals"] for doc in self.manifest_extras)
+            parts.append(self._unrouted.totals())
+        return merge_totals(parts)
 
     def manifest(self) -> dict:
         """The run document spanning every session, live and retired."""

@@ -246,13 +246,14 @@ class LearningSession:
 
     def _ensure_pool(self):
         if self._pool is None:
+            from ..citests.tablebase import wave_arena_hint
             from ..parallel.adaptive import DEFAULT_SEED_GS
             from ..parallel.backends import WorkerPool
 
             # Long-lived pool: prewarm each worker's kernel arena for the
             # default adaptive seed group size (later learns at larger gs
             # just grow the buffers once to the new high-water mark).
-            n = min(DEFAULT_SEED_GS * 4 * max(self.dataset.n_samples, 1), 1 << 24)
+            hint = wave_arena_hint(DEFAULT_SEED_GS * 4, self.dataset.n_samples)
             self._pool = WorkerPool(
                 self.dataset,
                 self.n_jobs,
@@ -263,7 +264,7 @@ class LearningSession:
                 cache_bytes=self.cache_bytes,
                 encoded=self.encoded,
                 use_shm=self.use_shm,
-                arena_hint={"cells": (n, "<i4")},
+                arena_hint=hint,
             )
         return self._pool
 
@@ -395,10 +396,8 @@ class LearningSession:
     ) -> MarkovBlanketResult:
         """Discover one variable's Markov blanket on the session substrate.
 
-        Blanket queries are prime cache traffic: the grow phase sweeps
-        every candidate against the *same* conditioning set (one encoding,
-        many endpoints) and the shrink phase re-tests tuples the grow phase
-        already built.
+        Blanket queries are prime cache traffic: the shrink phase re-tests
+        tuples the grow phase already built.
         """
         self._check_open()
         if algorithm not in ("iamb", "grow-shrink"):

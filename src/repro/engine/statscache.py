@@ -5,12 +5,15 @@ table — ``m * (d + 2)`` data accesses per test (Sec. IV-D).  Across a
 *stream* of learning requests on the same dataset (different alphas, group
 sizes, blanket targets) the vast majority of those tables are rebuilt
 identically, because the table over a variable tuple does not depend on any
-test parameter.  :class:`SufficientStatsCache` memoizes those tables:
+test parameter.  :class:`SufficientStatsCache` memoizes those tables — and
+only those: the cell codes a table is counted from are built on the fly
+from the data columns (paper optimisation (iv)), never stored:
 
 * entries are keyed by variable tuples (conditioning set + endpoints) and
   hold the exact ``(nz, rx, ry)`` count array the uncached path would have
-  built (construction is shared with the testers through
-  :func:`repro.citests.contingency.ci_counts`, so hits are bit-identical);
+  built (a miss is built from the columns exactly as without a cache —
+  :func:`repro.citests.contingency.ci_counts` or the fused column kernel —
+  so hits are bit-identical);
 * a byte-budgeted LRU bounds memory: every ``get`` refreshes recency and
   every ``put`` evicts from the cold end until the budget holds;
 * lookups are exact-key only.  Serving a sub-tuple by marginalizing a
@@ -18,9 +21,8 @@ test parameter.  :class:`SufficientStatsCache` memoizes those tables:
   computed one set at a time costs more than building the table fresh
   inside a fused batch, and finding the superset took a linear scan
   under the cache lock on every miss;
-* encoded conditioning-set codes are cached too, so a miss that shares its
-  conditioning set with an earlier test (the Markov-blanket grow pattern:
-  same ``S``, sweeping ``y``) skips the mixed-radix re-encoding;
+* a miss bills the data accesses of the uncached path — ``m * (d + 2)``,
+  or ``m * d`` for a set after the first of its gs-group;
 * the fused group kernel reads the cache side-effect free while it plans
   and builds, then replays the cache events of the tests it keeps through
   :meth:`CachedTableBuilder.commit` — one lock acquisition per kernel
@@ -40,7 +42,7 @@ from collections.abc import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from ..citests.contingency import ci_counts, encode_columns
+from ..citests.contingency import ci_counts
 from ..datasets.dataset import DiscreteDataset
 
 __all__ = ["CacheStats", "SufficientStatsCache", "CachedTableBuilder"]
@@ -51,12 +53,6 @@ __all__ = ["CacheStats", "SufficientStatsCache", "CachedTableBuilder"]
 #: is dropped instead of spilled, exactly as per-set evaluation would
 #: drop it.  Pending entries exist only inside that locked replay.
 _PENDING = object()
-
-#: :meth:`CachedTableBuilder.commit` flags: a table hit, or the encodings
-#: a miss found cached (bit set) instead of reading the data.
-HIT = -1
-Z_CACHED = 1
-XY_CACHED = 2
 
 DEFAULT_BUDGET_BYTES = 64 << 20  # 64 MiB
 
@@ -116,7 +112,7 @@ class CacheStats:
 class _Entry:
     value: object
     nbytes: int
-    kind: str  # "table" | "codes"
+    kind: str  # "table" (the spill tier's row format keeps the field)
 
 
 def _is_pending(entry: _Entry) -> bool:
@@ -127,14 +123,14 @@ def _is_pending(entry: _Entry) -> bool:
 
 
 class SufficientStatsCache:
-    """Byte-budgeted LRU cache of contingency tables and column encodings.
+    """Byte-budgeted LRU cache of contingency tables.
 
     The cache itself is dataset-agnostic (keys are opaque); binding to a
-    concrete dataset — and the encoding reuse logic — lives in
-    :class:`CachedTableBuilder`.  One cache instance may be shared by
-    any number of testers over the *same* dataset (that invariant is the
-    caller's: :class:`~repro.engine.session.LearningSession` owns exactly
-    one dataset and one cache).
+    concrete dataset lives in :class:`CachedTableBuilder`.  One cache
+    instance may be shared by any number of testers over the *same*
+    dataset (that invariant is the caller's:
+    :class:`~repro.engine.session.LearningSession` owns exactly one
+    dataset and one cache).
     """
 
     def __init__(self, max_bytes: int = DEFAULT_BUDGET_BYTES, *, spill=None) -> None:
@@ -182,20 +178,15 @@ class SufficientStatsCache:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 
-    def get(self, key: Hashable, *, count: bool = True) -> _Entry | None:
-        """Fetch an entry, refreshing its recency.
-
-        ``count=False`` suppresses the hit/miss accounting — used by
-        internal probes (e.g. the encoding lookup) so that the public
-        hit/miss counters track *tables* exactly, one event per CI test.
-        """
+    def get(self, key: Hashable) -> _Entry | None:
+        """Fetch an entry, refreshing its recency and counting a hit or a
+        miss (one event per CI test)."""
         with self._lock:
             entry = self._get_locked(key)
-        if count:
-            if entry is None:
-                self.misses += 1
-            else:
-                self.hits += 1
+        if entry is None:
+            self.misses += 1
+        else:
+            self.hits += 1
         return entry
 
     def peek(self, key: Hashable) -> object | None:
@@ -325,13 +316,11 @@ class CachedTableBuilder:
     """Dataset-bound front door of the stats cache for the CI testers.
 
     ``ci_counts(x, y, s)`` returns exactly what the uncached tester path
-    would compute — ``(counts, nz_structural, from_cache, z_cached,
-    xy_cached)`` — from a direct key hit or a fresh build.  Column
-    encodings (the ``(x, y)`` cell codes and the conditioning-set codes)
-    are themselves cached and only materialised on a table miss, so a hit
-    really does touch zero data; the two ``*_cached`` flags report the
-    reuse so the work counters bill only the columns actually read.
-    Fresh builds are inserted back so later queries hit directly.
+    would compute — ``(counts, nz_structural, from_cache)`` — from a
+    direct key hit or a fresh build from the data columns, which is then
+    inserted so later queries hit directly.  The fused kernel instead
+    builds on its own and replays its tests' cache events through
+    :meth:`commit`.
     """
 
     def __init__(
@@ -344,155 +333,74 @@ class CachedTableBuilder:
         self.cache = cache
         self.compress_threshold = int(compress_threshold)
 
-    # Keys: ("t", v0, v1, ..., x, y) for tables (conditioning vars first,
-    # endpoints last — the table's axis order), ("e", v0, v1, ...) for
-    # encoded conditioning columns, ("xy", x, y) for endpoint cell codes.
     @staticmethod
     def table_key(x: int, y: int, s: tuple[int, ...]) -> tuple:
+        """``("t", v0, v1, ..., x, y)``: conditioning variables first,
+        endpoints last — the table's axis order."""
         return ("t",) + s + (x, y)
 
-    @staticmethod
-    def codes_key(s: tuple[int, ...]) -> tuple:
-        return ("e",) + s
-
-    @staticmethod
-    def xy_key(x: int, y: int) -> tuple:
-        return ("xy", x, y)
-
-    def fresh_z(self, s: tuple[int, ...], rz: Sequence[int]) -> np.ndarray:
-        """Pre-compression mixed-radix codes of the conditioning columns,
-        encoded from the data (no cache event)."""
-        return encode_columns(self.dataset.columns(s), list(rz))[0]
-
-    def fresh_xy(self, x: int, y: int) -> np.ndarray:
-        """Endpoint cell codes ``x * ry + y`` from the data (no cache event)."""
-        ds = self.dataset
-        return ds.column(x).astype(np.int64) * ds.arity(y) + ds.column(y)
-
-    def commit(self, rounds: Iterable[Sequence[tuple]]) -> list[int]:
+    def commit(self, rounds: Iterable[Sequence]) -> list[bool]:
         """Replay the cache events of already-evaluated tests, in order.
 
         The fused kernel plans and builds without touching the cache, then
-        hands the tests it keeps here as *rounds* of ``(x, y, job, xy)``
-        tuples; ``job`` carries ``s``, ``rz``, ``cells``, ``dense``,
-        ``table`` (``(counts, nz_structural)``) and ``z1d`` (conditioning
-        codes or ``None``), ``xy`` the endpoint codes or ``None``.  For
-        each test this makes exactly the events a one-test-at-a-time
-        evaluation of the same stream would make: table lookup (a hit
-        ends there), else conditioning-codes and endpoint-codes
-        fetch-or-insert, then the table store — a dense table as a sized
-        reservation filled when its round ends, a compressed one
-        directly.  Recency, evictions, spill traffic and counters
-        therefore match per-set evaluation, under one lock acquisition.
+        hands the tests it keeps here as *rounds* of jobs; a job carries
+        ``key`` (its :meth:`table_key`), ``dense``, ``cells`` and ``table``
+        (``(counts, nz_structural)``).  For each test this makes exactly
+        the events a one-test-at-a-time evaluation of the same stream
+        would make: one table lookup (a hit ends there), else one store —
+        a dense table as a sized reservation filled when its round ends, a
+        compressed one directly.  Recency, evictions, spill traffic and
+        counters therefore match per-set evaluation, under one lock
+        acquisition.
 
-        Returns one flag per test: :data:`HIT`, or for a miss the
-        :data:`Z_CACHED` / :data:`XY_CACHED` bits of the encodings that
-        were served from the cache (the work counters bill the rest).
+        Returns one flag per test: ``True`` for a table hit.
         """
         cache = self.cache
         get = cache._get_locked
         put = cache._put_locked
         entries = cache._entries
-        flags: list[int] = []
+        hits: list[bool] = []
         with cache._lock:
             for rnd in rounds:
                 reserved = []
-                for x, y, job, xy in rnd:
-                    s = job.s
-                    key = self.table_key(x, y, s)
+                for job in rnd:
+                    key = job.key
                     if get(key) is not None:
                         cache.hits += 1
-                        flags.append(HIT)
+                        hits.append(True)
                         continue
                     cache.misses += 1
-                    flag = 0
-                    if s:
-                        ckey = self.codes_key(s)
-                        if get(ckey) is None:
-                            z = job.z1d if job.z1d is not None else self.fresh_z(s, job.rz)
-                            put(ckey, z, z.nbytes, "codes")
-                        else:
-                            flag = Z_CACHED
-                    xkey = self.xy_key(x, y)
-                    if get(xkey) is None:
-                        if xy is None:
-                            xy = self.fresh_xy(x, y)
-                        put(xkey, xy, xy.nbytes, "codes")
-                    else:
-                        flag |= XY_CACHED
+                    hits.append(False)
                     if job.dense:
-                        # int64 cells: what the wave's bincount produces.
+                        # int64 cells: what the wave's histogram holds.
                         put(key, (_PENDING, job.table[1]), job.cells * 8, "table")
-                        reserved.append((key, job.table))
+                        reserved.append(job)
                     else:
                         put(key, job.table, job.table[0].nbytes, "table")
-                    flags.append(flag)
-                for key, table in reserved:
-                    entry = entries.get(key)
+                for job in reserved:
+                    entry = entries.get(job.key)
                     if entry is not None:
-                        entry.value = table
-        return flags
+                        entry.value = job.table
+        return hits
 
     def ci_counts(
-        self,
-        x: int,
-        y: int,
-        s: tuple[int, ...],
-        xy_codes: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, int, bool, bool, bool]:
+        self, x: int, y: int, s: tuple[int, ...]
+    ) -> tuple[np.ndarray, int, bool]:
         """Resolve-or-build one table (the looped path's front door)."""
-        ds = self.dataset
-        rx, ry = ds.arity(x), ds.arity(y)
-        rz = [ds.arity(v) for v in s]
-
-        entry = self.cache.get(self.table_key(x, y, s))
+        key = self.table_key(x, y, s)
+        entry = self.cache.get(key)
         if entry is not None:
             counts, nz_structural = entry.value  # type: ignore[misc]
-            return counts, nz_structural, True, True, True
-
-        z_cached = False
-        z_codes = None
-        if s:
-            z_codes, z_cached = self.encoded_z(s, rz)
-        xy_cached = xy_codes is not None  # caller already paid for them
-        if xy_codes is None:
-            xy_codes, xy_cached = self.encoded_xy(x, y)
+            return counts, nz_structural, True
+        ds = self.dataset
         counts, nz_structural, _dense = ci_counts(
             ds.column(x),
             ds.column(y),
-            ds.columns(s) if z_codes is None else [],
-            rx,
-            ry,
-            rz,
+            ds.columns(s),
+            ds.arity(x),
+            ds.arity(y),
+            [ds.arity(v) for v in s],
             compress_threshold=self.compress_threshold,
-            xy_codes=xy_codes,
-            z_codes=z_codes,
         )
-        self.cache.put(self.table_key(x, y, s), (counts, nz_structural), counts.nbytes)
-        return counts, nz_structural, False, z_cached, xy_cached
-
-    def encoded_z(self, s: tuple[int, ...], rz: Sequence[int]) -> tuple[np.ndarray, bool]:
-        """Pre-compression mixed-radix codes of the conditioning columns,
-        cached so same-``S``-different-endpoints streams encode once.
-
-        Returns ``(codes, from_cache)``; the flag lets the caller bill
-        data accesses only for encodings that actually read the columns.
-        """
-        key = self.codes_key(s)
-        entry = self.cache.get(key, count=False)
-        if entry is not None:
-            return entry.value, True  # type: ignore[return-value]
-        codes = self.fresh_z(s, rz)
-        self.cache.put(key, codes, codes.nbytes, kind="codes")
-        return codes, False
-
-    def encoded_xy(self, x: int, y: int) -> tuple[np.ndarray, bool]:
-        """Endpoint cell codes ``x * ry + y``, cached per ``(x, y)`` pair
-        so a warm path never re-reads the endpoint columns either."""
-        key = self.xy_key(x, y)
-        entry = self.cache.get(key, count=False)
-        if entry is not None:
-            return entry.value, True  # type: ignore[return-value]
-        codes = self.fresh_xy(x, y)
-        self.cache.put(key, codes, codes.nbytes, kind="codes")
-        return codes, False
+        self.cache.put(key, (counts, nz_structural), counts.nbytes)
+        return counts, nz_structural, False

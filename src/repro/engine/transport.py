@@ -146,10 +146,6 @@ class LineStream:
             self._buf += chunk
 
 
-#: Former private name, kept importable.
-_LineStream = LineStream
-
-
 class _Connection:
     """One client socket: frames lines into a serve_iter stream."""
 
@@ -159,7 +155,7 @@ class _Connection:
         self.thread: threading.Thread | None = None
         self.n_responses = 0
 
-    def _requests(self, stream: _LineStream) -> Iterator[object]:
+    def _requests(self, stream: LineStream) -> Iterator[object]:
         for line in stream.lines():
             if not line.strip():
                 continue

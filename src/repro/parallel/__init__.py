@@ -17,6 +17,7 @@ group kernel.  Neither changes any result bit.
 from __future__ import annotations
 
 from ..citests.base import ConditionalIndependenceTest
+from ..citests.tablebase import wave_arena_hint
 from ..core.result import SkeletonStats
 from ..core.sepsets import SepSetStore
 from ..core.trace import TraceRecorder
@@ -93,8 +94,7 @@ def run_parallel_skeleton(
         if isinstance(gs, AdaptiveGroupScheduler):
             arena_hint = gs.arena_hint(dataset.n_samples)
         else:
-            n = min(max(int(gs), 1) * 4 * max(dataset.n_samples, 1), 1 << 24)
-            arena_hint = {"cells": (n, "<i4")}
+            arena_hint = wave_arena_hint(max(int(gs), 1) * 4, dataset.n_samples)
     with WorkerPool(
         dataset,
         n_jobs,

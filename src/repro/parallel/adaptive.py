@@ -23,8 +23,8 @@ observed waste ratio (tests executed past the first accepting set) and its
 worker-seconds share back into the bucket, and the bucket's group size
 moves multiplicatively — halved when waste exceeds ``waste_shrink``,
 doubled when waste stays under ``waste_grow`` *and* the group's cost still
-fits the latency target.  The groups feed the same batched
-:func:`~repro.citests.contingency.group_ci_counts` kernel either way, so a
+fits the latency target.  The groups feed the same fused column kernel
+(:func:`~repro.citests.contingency.column_counts`) either way, so a
 bigger group also means a wider (more efficient) kernel invocation.
 
 **Adaptivity never changes results.**  The CI-level scheduler defers edge
@@ -223,17 +223,15 @@ class AdaptiveGroupScheduler:
     def arena_hint(self, n_samples: int, chunk_groups: int = 4) -> dict:
         """Kernel-arena prewarm hint derived from the live bucket mix.
 
-        Sizes the fused kernel's big per-worker buffer (the cell matrix,
-        see :mod:`repro.citests.tablebase`) for a dispatch chunk of
-        ``chunk_groups`` groups at the largest group size any bucket
-        currently runs.  Purely an allocation warm-up: a wrong hint costs
-        at most a few buffer growth copies, never correctness.
+        Sizes the fused kernel's per-worker scratch
+        (:func:`~repro.citests.tablebase.wave_arena_hint`) for a dispatch
+        chunk of ``chunk_groups`` groups at the largest group size any
+        bucket currently runs.
         """
+        from ..citests.tablebase import wave_arena_hint
+
         rows = max((s.gs for s in self.buckets.values()), default=self.seed_gs)
-        n = min(rows * chunk_groups * max(int(n_samples), 1), 1 << 24)
-        # "<i4" matches the common cell dtype (wave histograms stay well
-        # under 2^31 cells); larger waves grow an int64 slot on demand.
-        return {"cells": (n, "<i4")}
+        return wave_arena_hint(rows * chunk_groups, n_samples)
 
     def summary(self) -> dict:
         """Aggregate + per-bucket counters (diagnostics, benches, tests)."""

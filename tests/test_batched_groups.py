@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.citests.chisquare import ChiSquareTest
-from repro.citests.contingency import ci_counts, group_ci_counts
+from repro.citests.contingency import ci_counts, column_counts
 from repro.citests.gsquare import GSquareTest
 from repro.citests.mutual_info import MutualInformationTest
+from repro.citests.native import native_available
 from repro.datasets.dataset import DiscreteDataset
 from repro.datasets.encoded import EncodedDataset
 from repro.engine.statscache import SufficientStatsCache
@@ -149,7 +150,7 @@ class TestBatchedMatchesLooped:
         def boom(*a, **k):
             raise MemoryError("simulated mid-group failure")
 
-        monkeypatch.setattr(tb, "fused_cell_counts", boom)
+        monkeypatch.setattr(tb, "column_counts", boom)
         with pytest.raises(MemoryError):
             tester.test_group(0, 1, [(2,), (3,)])
         monkeypatch.undo()
@@ -186,7 +187,7 @@ class TestBatchedMatchesLooped:
         def boom(*a, **k):
             raise MemoryError("simulated wave failure")
 
-        monkeypatch.setattr(tb, "fused_cell_counts", boom)
+        monkeypatch.setattr(tb, "column_counts", boom)
         with pytest.raises(MemoryError):
             tester.test_groups(items, prefix=prefix)
         assert state() == before
@@ -222,7 +223,8 @@ class TestBatchedMatchesLooped:
                 with_shared.test_group(x, y, sets), private.test_group(x, y, sets)
             )
         _assert_counters_identical(with_shared.counters, private.counters)
-        assert shared.stats()["n_xy"] > 0  # the layer actually memoized
+        # The fused kernel reads the columns: no endpoint codes are built.
+        assert shared.stats()["n_xy"] == 0
 
     def test_skeleton_bit_identical(self, asia_data):
         from repro.core.skeleton import learn_skeleton
@@ -240,32 +242,45 @@ class TestBatchedMatchesLooped:
 # ---------------------------------------------------------------------- #
 # kernel-level equivalence (tables, not statistics)
 # ---------------------------------------------------------------------- #
-class TestGroupCICounts:
-    def test_stack_matches_per_set_tables(self, rng):
+class TestColumnCounts:
+    @pytest.mark.parametrize("native", [False, True])
+    def test_rows_match_per_set_tables(self, rng, native):
+        if native and not native_available():
+            pytest.skip("no native backend")
         m = 200
-        x = rng.integers(0, 3, m).astype(np.uint8)
-        y = rng.integers(0, 2, m).astype(np.uint8)
-        zs = [rng.integers(0, a, m).astype(np.uint8) for a in (2, 3, 4)]
-        xy = x.astype(np.int64) * 2 + y
-        sets = [(None, 1), (zs[0].astype(np.int64), 2), (zs[1].astype(np.int64), 3)]
-        # Include a two-variable set (mixed radix 3*4=12).
-        z12 = zs[1].astype(np.int64) * 4 + zs[2]
-        sets.append((z12, 12))
-        stack = group_ci_counts(xy, [s[0] for s in sets], [s[1] for s in sets], 3, 2)
-        assert stack.shape == (4, 12, 3, 2)
-        z_cols = [[], [zs[0]], [zs[1]], [zs[1], zs[2]]]
-        rz = [[], [2], [3], [3, 4]]
-        for k in range(4):
-            ref, nz_ref, dense = ci_counts(x, y, z_cols[k], 3, 2, rz[k])
-            assert dense and nz_ref == sets[k][1]
-            np.testing.assert_array_equal(stack[k, : sets[k][1]], ref)
-            assert stack[k, sets[k][1] :].sum() == 0  # padding rows empty
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            group_ci_counts(np.zeros(3, dtype=np.int64), [None], [1, 1], 2, 2)
-        with pytest.raises(ValueError):
-            group_ci_counts(np.zeros(3, dtype=np.int64), [], [], 2, 2)
+        arities = [3, 2, 2, 3, 4]  # x, y, z0, z1, z2
+        cols = np.stack([rng.integers(0, a, m) for a in arities]).astype(np.uint8)
+        x, y = 0, 1
+        sets = [(), (2,), (3,), (3, 4)]
+        rows, strides, offsets, spans = [], [], [], []
+        total = 0
+        for s in sets:
+            rz = [arities[v] for v in s]
+            place = [int(np.prod(rz[j + 1 :], dtype=np.int64)) * 6 for j in range(len(s))]
+            rows.append(list(s) + [x, y])
+            strides.extend(place + [2, 1])
+            offsets.append(total)
+            spans.append(int(np.prod(rz, dtype=np.int64)) * 6)
+            total += spans[-1]
+        ptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])]).astype(np.int64)
+        flat = column_counts(
+            cols,
+            ptr,
+            np.concatenate(rows).astype(np.int64),
+            np.array(strides, dtype=np.int64),
+            np.array(offsets, dtype=np.int64),
+            total,
+            np.dtype(np.int64),
+            use_native=native,
+        )
+        assert flat.shape == (total,)
+        for k, s in enumerate(sets):
+            ref, nz_ref, dense = ci_counts(
+                cols[x], cols[y], [cols[v] for v in s], 3, 2, [arities[v] for v in s]
+            )
+            assert dense
+            got = flat[offsets[k] : offsets[k] + spans[k]].reshape(nz_ref, 3, 2)
+            np.testing.assert_array_equal(got, ref)
 
 
 # ---------------------------------------------------------------------- #

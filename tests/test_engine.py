@@ -131,6 +131,36 @@ class TestExactCounters:
         # A hit must not touch the data: only the miss paid m * (d + 2).
         assert c.data_accesses == asia_data.n_samples * 3
 
+    def test_session_cache_holds_tables_only(self, asia_data, monkeypatch):
+        # Learn, blanket and relearn leave nothing but contingency tables
+        # in the session cache, and the fused kernel's replayed events
+        # hit and miss exactly like the looped per-set path.
+        import functools
+
+        import repro.engine.session as session_mod
+        from repro.core.learn import make_tester
+
+        def run():
+            with LearningSession(asia_data) as s:
+                s.learn()
+                s.markov_blanket(3)
+                s.relearn(alpha=0.01, gs=3)
+                entries = dict(s.cache._entries)
+                return entries, s.cache_stats()
+
+        entries, fused = run()
+        assert entries
+        for key, entry in entries.items():
+            assert key[0] == "t" and entry.kind == "table"
+            counts, nz = entry.value
+            assert isinstance(counts, np.ndarray) and counts.shape[0] <= nz
+        monkeypatch.setattr(
+            session_mod, "make_tester", functools.partial(make_tester, batch_groups=False)
+        )
+        looped_entries, looped = run()
+        assert (fused.hits, fused.misses) == (looped.hits, looped.misses)
+        assert sorted(looped_entries) == sorted(entries)
+
     def test_counters_without_cache_stay_zero(self, asia_data):
         tester = GSquareTest(asia_data)
         tester.test(0, 1, (2,))

@@ -12,9 +12,10 @@ Covers the megagroup engine introduced with the kernel arena:
   behaviour at 255/256 and 65535/65536, every tier exercised end-to-end;
 * the ``_INT64_CODE_LIMIT`` overflow fallback composed with a batched
   group (compressed-Z + pairwise-unique inside ``test_group``);
-* the optional native backend — parity with the NumPy kernel and the
-  ``REPRO_NATIVE=0`` kill switch;
-* the conditioning-row memo — reuse across calls, FIFO bound.
+* the column kernel — native and NumPy histograms equal per-set
+  ``ci_counts`` tables (a hypothesis property over arities, depths,
+  dense/compressed mixes and both layouts), no codes kept between calls,
+  and the ``REPRO_NATIVE=0`` kill switch.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.citests.arena import KernelArena, thread_arena
 from repro.citests.chisquare import ChiSquareTest
-from repro.citests.contingency import code_dtype, encode_columns, fused_cell_counts
+from repro.citests.contingency import ci_counts, code_dtype, column_counts, encode_columns
 from repro.citests.gsquare import GSquareTest
 from repro.citests.native import native_available
 from repro.citests.tablebase import _cell_dtype
@@ -337,30 +340,35 @@ class TestMultiGroupFusion:
         _, got = _run_fused(GSquareTest, ds, groups, False, False, chunk=chunk)
         _assert_identical(ref, got)
 
-    def test_conditioning_row_memo_reused_across_calls(self):
+    def test_no_codes_survive_a_call(self):
+        # The kernel builds every cell index from the columns: a call
+        # leaves only the per-set geometry memo behind, and the encoded
+        # layer holds no conditioning or endpoint codes for dense sets.
         rng = np.random.default_rng(13)
         ds = _random_dataset(rng)
         groups = _random_groups(rng, ds.n_variables)
         t = GSquareTest(ds, batch_groups=True)
         t.use_native = False
         first = [r for res in t.test_groups(groups) for r in res]
-        assert len(t._z_rows) > 0
-        memo_ids = {s: id(row) for s, row in t._z_rows.items()}
+        # Variable-major uint8 data is read in place: nothing was derived.
+        assert t._columns() is ds.values
+        assert t.encoded.stats() == {"n_col64": 0, "n_xy": 0, "nbytes": 0}
         second = [r for res in t.test_groups(groups) for r in res]
         _assert_identical(first, second)
-        # Served from the memo: the rows were not rebuilt.
-        assert {s: id(row) for s, row in t._z_rows.items()} == memo_ids
 
-    def test_memo_is_fifo_bounded(self):
+    def test_set_geometry_memo_holds_place_values(self):
         rng = np.random.default_rng(14)
         ds = _random_dataset(rng, n_vars=10, m=40)
         t = GSquareTest(ds, batch_groups=True)
-        t.use_native = False
-        t._z_rows_cap = 4
-        groups = _random_groups(rng, ds.n_variables, n_groups=14)
-        t.test_groups(groups)
-        assert len(t._z_rows) <= 4
-        assert len(t._z_scaled) <= 4
+        t.test_groups(_random_groups(rng, ds.n_variables, n_groups=14))
+        assert t._set_info
+        for s, (rz, nz, place) in t._set_info.items():
+            assert rz == [ds.arity(v) for v in s]
+            assert nz == int(np.prod(rz, dtype=np.int64))
+            # Mixed-radix place values of the conditioning columns, then
+            # the endpoints' unit places.
+            want = [int(np.prod(rz[j + 1 :], dtype=np.int64)) for j in range(len(s))]
+            assert list(place) == want + [1, 1]
 
 
 # ---------------------------------------------------------------------- #
@@ -441,21 +449,15 @@ class TestDtypeTiers:
         elif tier == "uint16":
             ds = _random_dataset(rng, n_vars=8, arity_hi=4, m=60)
             groups = _random_groups(rng, 8, n_groups=8, max_depth=3)
-        else:  # int32: one wave > 65535 cells
-            # m keeps nz=256 under the dense limit (4 * m) so the deep
-            # sets stay on the fused path instead of compressed-Z.
-            arities = [4] * 8
-            rows = np.column_stack([rng.integers(0, 4, 300) for _ in arities])
+        else:  # int32: one table > 65535 cells
+            # The NumPy path accumulates row-local codes, so the tier is
+            # set by the largest table: nz = 4**5 * 5 = 5120 over 4 x 4
+            # endpoints is 81920 cells, and m keeps nz under the dense
+            # limit (4 * m) so the deep set stays on the fused path.
+            arities = [4] * 7 + [5]
+            rows = np.column_stack([rng.integers(0, a, 1300) for a in arities])
             ds = DiscreteDataset.from_rows(rows, arities=arities)
-            groups = []
-            for x in range(4):
-                y = x + 4
-                pool = [v for v in range(8) if v not in (x, y)]
-                sets = [
-                    tuple(sorted(pool[i] for i in idx))
-                    for idx in [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4)]
-                ]
-                groups.append((x, y, sets))
+            groups = [(0, 1, [(2, 3, 4, 5, 6, 7), (2, 3), (7,)]), (2, 3, [(), (0, 7)])]
         return ds, groups
 
     @pytest.mark.parametrize("tier", ["uint8", "uint16", "int32"])
@@ -528,29 +530,57 @@ class TestNativePath:
         assert out.stdout.split() == ["False", "None"]
 
     @pytest.mark.skipif(not native_available(), reason="no native backend")
-    def test_fused_counts_parity_with_numpy(self):
+    @pytest.mark.parametrize("col_dtype", [np.uint8, np.uint16])
+    @pytest.mark.parametrize("acc_dtype", [np.int32, np.int64])
+    def test_column_counts_native_matches_numpy(self, col_dtype, acc_dtype):
+        # Arbitrary rows (any column count, repeated variables, shuffled
+        # offsets) over one column matrix: the native loop and the NumPy
+        # gathers produce the same histogram.
         rng = np.random.default_rng(51)
-        n, m = 13, 300
-        scales = rng.integers(2, 10, n).astype(np.int64)
-        sizes = rng.integers(1, 9, n) * scales
-        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
-        total = int(sizes.sum())
-        z2d = np.stack(
-            [rng.integers(0, sizes[r] // scales[r], m) for r in range(n)]
-        ).astype(np.int32)
-        xy_mat = rng.integers(0, 2, (4, m)).astype(np.int32)
-        row_group = rng.integers(0, 4, n).astype(np.int64)
-        # Clamp endpoint codes below each row's scale.
-        for r in range(n):
-            np.minimum(xy_mat[row_group[r]], scales[r] - 1, out=xy_mat[row_group[r]])
-        ref = fused_cell_counts(
-            z2d.copy(), xy_mat, row_group, scales, offsets, total, use_native=False
-        )
-        got = fused_cell_counts(
-            z2d.copy(), xy_mat, row_group, scales, offsets, total, use_native=True
-        )
-        assert got.dtype == ref.dtype or got.sum() == ref.sum()
-        assert np.array_equal(np.asarray(got), np.asarray(ref))
+        arities = rng.integers(2, 6, 9)
+        m = 2500  # more than one native block of samples
+        cols = np.stack([rng.integers(0, a, m) for a in arities]).astype(col_dtype)
+        rows = [list(rng.integers(0, 9, int(rng.integers(1, 6)))) for _ in range(17)]
+        cells = [int(np.prod(arities[r])) for r in rows]
+        # Each row owns its own span of the histogram, laid out in a
+        # shuffled row order.
+        offsets = np.zeros(len(rows), dtype=np.int64)
+        base = 0
+        for r in rng.permutation(len(rows)):
+            offsets[r] = base
+            base += cells[r]
+        ptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])]).astype(np.int64)
+        vars_ = np.concatenate(rows).astype(np.int64)
+        strides = np.concatenate(
+            [[int(np.prod(arities[r[j + 1 :]])) for j in range(len(r))] for r in rows]
+        ).astype(np.int64)
+        total = int(sum(cells))
+        args = (cols, ptr, vars_, strides, offsets, total)
+        ref = column_counts(*args, np.dtype(np.int64), use_native=False)
+        got = column_counts(*args, np.dtype(acc_dtype), use_native=True)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref)
+        assert ref.sum() == m * len(rows)
+
+    @pytest.mark.skipif(not native_available(), reason="no native backend")
+    def test_native_rejects_out_of_range_plans(self):
+        # The C loop checks nothing, so a plan that would index outside
+        # the column matrix or the histogram is refused before the call.
+        cols = np.array([[0, 1, 1], [1, 0, 1]], dtype=np.uint8)
+        ptr = np.array([0, 2], dtype=np.int64)
+        good = (np.array([0, 1], dtype=np.int64), np.array([2, 1], dtype=np.int64))
+        offsets = np.array([0], dtype=np.int64)
+        got = column_counts(cols, ptr, *good, offsets, 4, np.dtype(np.int32))
+        assert got.tolist() == [0, 1, 1, 1]
+        bad_plans = [
+            (ptr, np.array([0, 2], dtype=np.int64), good[1], offsets, 4),  # no column 2
+            (ptr, good[0], np.array([4, 1], dtype=np.int64), offsets, 4),  # cell 5 of 4
+            (ptr, *good, np.array([1], dtype=np.int64), 4),  # base 1 + 3 = 4
+            (np.array([0, 3], dtype=np.int64), *good, offsets, 4),  # row past vars
+        ]
+        for p, v, s, o, total in bad_plans:
+            with pytest.raises(ValueError):
+                column_counts(cols, p, v, s, o, total, np.dtype(np.int32))
 
     @pytest.mark.skipif(not native_available(), reason="no native backend")
     @pytest.mark.parametrize("cls", TESTERS)
@@ -562,3 +592,61 @@ class TestNativePath:
         t_got, got = _run_fused(cls, ds, groups, cache=False, native=True)
         _assert_identical(ref, got)
         assert vars(t_ref.counters) == vars(t_got.counters)
+
+
+# ---------------------------------------------------------------------- #
+# property: the column kernel builds the per-set tables
+# ---------------------------------------------------------------------- #
+@st.composite
+def kernel_case(draw):
+    n_vars = draw(st.integers(5, 8))
+    arities = [draw(st.integers(2, 5)) for _ in range(n_vars)]
+    if draw(st.booleans()):
+        # One wide variable: the column matrix becomes uint16.
+        arities[draw(st.integers(0, n_vars - 1))] = draw(st.integers(257, 300))
+    m = draw(st.integers(1, 90))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    rows = np.column_stack([rng.integers(0, a, m) for a in arities])
+    layout = draw(st.sampled_from(["variable-major", "sample-major"]))
+    ds = DiscreteDataset.from_rows(rows, arities=arities, layout=layout)
+    groups = []
+    for _ in range(draw(st.integers(1, 4))):
+        x = draw(st.integers(0, n_vars - 1))
+        y = draw(st.integers(0, n_vars - 1).filter(lambda v, x=x: v != x))
+        pool = [v for v in range(n_vars) if v not in (x, y)]
+        sets = []
+        for _ in range(draw(st.integers(1, 5))):
+            depth = draw(st.integers(0, min(4, len(pool))))
+            sets.append(tuple(sorted(draw(st.permutations(pool))[:depth])))
+        groups.append((x, y, sets))
+    return ds, groups
+
+
+@given(kernel_case())
+@settings(max_examples=80, deadline=None)
+def test_column_kernel_equals_per_set_tables(case):
+    # Depths 0-4, dense and compressed sets, both layouts, uint8 and
+    # uint16 columns: every table the fused path stores (built by the
+    # column kernel, native and NumPy, or by ``ci_counts`` for compressed
+    # sets) equals the per-set reference table.
+    ds, groups = case
+    paths = [False, True] if native_available() else [False]
+    for native in paths:
+        cache = SufficientStatsCache()
+        tester = GSquareTest(ds, stats_cache=cache)
+        tester.use_native = native
+        tester.test_groups(groups)
+        for x, y, sets in groups:
+            for s in sets:
+                counts, nz = cache.peek(tester._builder.table_key(x, y, s))
+                ref, nz_ref, _dense = ci_counts(
+                    ds.column(x),
+                    ds.column(y),
+                    ds.columns(s),
+                    ds.arity(x),
+                    ds.arity(y),
+                    [ds.arity(v) for v in s],
+                )
+                assert nz == nz_ref
+                assert counts.dtype == ref.dtype
+                assert np.array_equal(counts, ref)

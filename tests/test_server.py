@@ -599,3 +599,52 @@ class TestServerManifest:
         doc = server.manifest()
         assert doc["unrouted"]["totals"]["n_errors"] == 2
         assert doc["totals"]["n_errors"] == 2
+
+    def test_stats_totals_equal_manifest_totals(self, asia_data, sprinkler_data):
+        # stats() merges the per-session running totals directly instead
+        # of building the run document; the payload must not change by a
+        # byte across computed, cached, error, unrouted and evicted rows.
+        with EngineServer(max_sessions=1) as srv:
+            srv.register("a", asia_data)
+            srv.register("b", sprinkler_data)
+            assert json.dumps(srv.stats()["totals"]) == json.dumps(srv.manifest()["totals"])
+            srv.serve(
+                [
+                    {"op": "learn", "dataset": "a", "max_depth": 0},
+                    {"op": "learn", "dataset": "a", "max_depth": 0},  # cached
+                    {"op": "learn", "dataset": "a", "gs": 0},  # in-session error
+                    {"op": "learn", "dataset": "b", "max_depth": 0},  # evicts "a"
+                    {"op": "learn", "dataset": "ghost"},  # unrouted error
+                    {"op": "learn", "dataset": "a", "max_depth": 1},  # evicts "b"
+                ]
+            )
+            doc = srv.manifest()
+            totals = srv.stats()["totals"]
+        assert sum(s["evicted"] for s in doc["sessions"]) == 2
+        assert json.dumps(totals) == json.dumps(doc["totals"])
+        assert totals["n_requests"] == 6
+        assert totals["n_errors"] == 2
+        assert totals["n_result_cache_hits"] == 1
+
+    def test_running_totals_match_a_rescan_of_the_rows(self):
+        from repro.engine.manifest import RunManifest
+
+        man = RunManifest("fp")
+        empty = man.totals()
+        assert empty["elapsed_s"] == 0 and type(empty["elapsed_s"]) is int
+        for i in range(50):
+            man.add_request(
+                "learn", f"f{i}", i % 3 == 0, 0.1 * i + 1e-9, error="x" if i % 7 == 0 else None
+            )
+        rows = man.requests
+        cached = sum(1 for r in rows if r["cached"])
+        errors = sum(1 for r in rows if "error" in r)
+        rescan = {
+            "n_requests": len(rows),
+            "n_computed": len(rows) - cached - errors,
+            "n_result_cache_hits": cached,
+            "n_errors": errors,
+            "elapsed_s": sum(r["elapsed_s"] for r in rows),
+        }
+        assert json.dumps(man.totals()) == json.dumps(rescan)
+        assert RunManifest("fp", requests=list(rows)).totals() == rescan

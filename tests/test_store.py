@@ -333,22 +333,25 @@ class TestStatsCacheSpill:
         cache.put("pending", (_PENDING, "slot"), 64, "table")
         cache.put("real-a", 1, 64, "table")
         cache.put("real-b", 2, 64, "table")  # evicts "pending"
-        assert cache.get("pending", count=False) is None
+        assert cache.get("pending") is None
         assert not store.spill_tier("fp").has("pending")
         store.close()
 
     def test_reservations_evicted_in_their_round_never_spill(self, tmp_path):
         # One kernel call is one replayed round: every miss reserves its
-        # table slot and the round's later endpoint-code inserts evict the
-        # early reservations before they are filled.  Those evictions drop
-        # the slot; only codes and filled tables reach the disk tier.
+        # table slot, and the round's own later reservations (15 depth-0
+        # tables of 32 bytes against a 256-byte budget) evict first the
+        # filled tables of an earlier call, then the round's early
+        # reservations before they are filled.  Those evictions drop the
+        # slot; only filled tables reach the disk tier.
         from repro.citests.gsquare import GSquareTest
 
         data = _make_data(n=400, k=6)
         store = EngineStore(tmp_path / "s.sqlite")
         tier = store.spill_tier("fp")
-        cache = SufficientStatsCache(max_bytes=8_000, spill=tier)
+        cache = SufficientStatsCache(max_bytes=256, spill=tier)
         tester = GSquareTest(data, stats_cache=cache)
+        tester.test_groups([(0, 1, [(2,), (3,)])])
         items = [(x, y, [()]) for x in range(6) for y in range(x + 1, 6)]
         tester.test_groups(items)
         tables = [("t", x, y) for x, y, _ in items]
