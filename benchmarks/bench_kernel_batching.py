@@ -8,7 +8,8 @@ elementwise pass per table shape and finished with one ``gammaincc`` per
 wave — where the looped path pays one ``bincount``, one reduction and one
 ``gammaincc`` per conditioning set.  All large scratch comes from a
 reusable :class:`~repro.citests.arena.KernelArena`, so a warm worker
-performs zero large allocations per group evaluation.
+grows no scratch buffer per group evaluation (each wave's histogram is
+still a fresh allocation).
 
 This bench extracts the real multi-set group workload of a Fast-BNS
 skeleton run on a Table II network (single-set groups are excluded — both
@@ -21,8 +22,8 @@ then re-evaluates that exact group stream through both paths and asserts:
   group size >= 8 (the gain grows with gs: more per-set dispatch amortized
   per kernel call), and is never slower at any measured gs;
 * the arena performs **zero growth events** across warm rounds — the
-  steady-state "no large allocations" claim as a measured artefact, backed
-  by per-path ``tracemalloc`` numbers in the JSON payload.
+  steady-state "no scratch growth" claim as a measured artefact, with
+  per-path ``tracemalloc`` numbers in the JSON payload.
 
 The optional native path (auto-detected C backend, ``REPRO_NATIVE=0``
 disables) is timed and reported separately when present; it is never part

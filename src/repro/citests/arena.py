@@ -14,9 +14,11 @@ dtype)`` slot and hands out leading views:
 * ``take(key, shape, dtype)`` returns a C-contiguous view of exactly
   ``prod(shape)`` elements; the backing buffer only ever grows (doubling,
   so amortised O(1) growth events) and is reused by every later take of
-  the slot — in steady state a worker performs **zero large allocations**
-  per group evaluation, which ``benchmarks/bench_kernel_batching.py``
-  measures with ``tracemalloc`` rather than asserting by prose;
+  the slot — in steady state no *scratch* buffer is allocated per group
+  evaluation (``benchmarks/bench_kernel_batching.py`` asserts zero arena
+  growth events).  The wave histogram is not arena scratch: each wave
+  allocates a fresh int64 one (``np.zeros`` on the native path,
+  ``np.bincount``'s output on the NumPy path), up to 8 MiB;
 * ``prewarm(hint)`` pre-sizes slots from the adaptive scheduler's live
   bucket mix (:meth:`repro.parallel.adaptive.AdaptiveGroupScheduler.
   arena_hint`), so the first groups of a round do not pay the growth

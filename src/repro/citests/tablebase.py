@@ -38,25 +38,37 @@ Two group-evaluation paths, bit-identical by construction and by test:
   A fused call runs in three stages:
 
   - **plan** has no side effects: with a stats cache attached it reads
-    resident tables without recency or counter changes;
-  - **build** evaluates every planned set — absent tables from the
-    columns, exactly as without a cache; resident dense tables are copied
-    into their wave's histogram, so one stacked reduction scores hits and
-    fresh builds alike;
+    resident entries without recency or counter changes.  An entry whose
+    score memo is of this tester's kind (statistic class and
+    ``dof_adjust``) answers its set right here, deciding ``p > alpha``
+    fresh: the set takes no wave slot, no copy-in and no elementwise
+    pass;
+  - **build** evaluates every other planned set — absent tables from the
+    columns, exactly as without a cache; resident dense tables without
+    such a memo are copied into their wave's histogram, so one stacked
+    reduction scores them and fresh builds alike;
   - **commit** keeps, per item, either every set or (``prefix=gs``, the
     skeleton's speculative rounds) the groups up to and including the
-    first accepting one, and bills only those: work counters, and with a
-    cache the one table lookup and one store each test makes, replayed in
-    the order of the one-group rounds under one cache-lock acquisition
-    (:meth:`~repro.engine.statscache.CachedTableBuilder.commit`).  LRU
-    recency, evictions, spill traffic and hit/miss counters therefore
-    match one-set-at-a-time evaluation of those rounds bit for bit, and
-    discarded sets leave no trace.  An exception before the commit leaves the cache and
-    the counters as they were.
+    first accepting one, and bills only those: work counters (a memo
+    answer bills the ``n_logs`` and cells a re-score would), and with a
+    cache the one table lookup and one store each test makes, replayed
+    in the order of the one-group rounds under one cache-lock acquisition
+    (:meth:`~repro.engine.statscache.CachedTableBuilder.commit`), which
+    also leaves each kept test's score memo on its entry.  LRU recency,
+    evictions, spill traffic and hit/miss counters therefore match
+    one-set-at-a-time evaluation of those rounds bit for bit, and
+    discarded sets leave no trace.  An exception before the commit
+    leaves the cache and the counters as they were.
 
-All large scratch lives in a :class:`~repro.citests.arena.KernelArena`
-(the calling thread's process-wide one by default; workers share one per
-process): steady-state group evaluation performs zero large allocations.
+The looped path answers from the same memos (a hit skips the statistic
+and ``chi2_sf``) and writes them when it scores a table.
+
+Kernel scratch lives in a :class:`~repro.citests.arena.KernelArena` (the
+calling thread's process-wide one by default; workers share one per
+process) and is reused from call to call.  The wave histogram is not
+arena scratch: every wave allocates a fresh int64 one (``np.zeros`` on
+the native path, ``np.bincount``'s output on the NumPy path), up to
+8 MiB at ``_MAX_WAVE_CELLS``.
 
 Work-counter accounting is identical in both paths and with or without a
 cache: a table hit reads no data; any other test reads its ``d``
@@ -77,7 +89,7 @@ from scipy.special import gammaincc
 from ..datasets.dataset import DiscreteDataset
 from ..datasets.encoded import EncodedDataset
 from .arena import KernelArena, thread_arena
-from .base import CITestCounters, CITestResult, group_prefix
+from .base import CITestCounters, CITestResult
 from .contingency import ci_counts, column_counts, n_configurations
 from .native import native_available
 
@@ -181,14 +193,16 @@ class _Job:
     ``vars`` (``s + (x, y)``) with the set's memoised ``place`` values, or
     copied in when their table was resident in the stats cache as the call
     planned; compressed-Z jobs are scored one at a time.  On the cache
-    path ``key`` is the table key, and after the build ``table`` holds
-    ``(counts, nz_structural)``; ``cells``/``logs`` are the work the test
-    bills when it commits.
+    path ``key`` is the table key, after the build ``table`` holds
+    ``(counts, nz_structural)`` and ``memo`` the score the commit stores
+    on the entry; a job answered from its resident entry's memo is not
+    built at all.  ``cells``/``logs`` are the work the test bills when it
+    commits.
     """
 
     __slots__ = (
         "g", "i", "s", "rz", "nz", "place", "vars", "cells", "dense", "key", "table",
-        "logs", "offset",
+        "logs", "offset", "memo",
     )
 
     def __init__(self, g, i, s, rz, nz, place, vars_, cells, dense):
@@ -205,6 +219,7 @@ class _Job:
         self.table = None
         self.logs = 0
         self.offset = 0
+        self.memo = None
 
 
 def _set_geometry(s: tuple[int, ...], arities: list[int]) -> tuple[list[int], int, tuple]:
@@ -318,6 +333,9 @@ class ContingencyTableTest:
         # Plain-int arity list: the fused planner reads arities per set
         # per group, and numpy scalar unboxing would dominate it.
         self._arities = [dataset.arity(v) for v in range(dataset.n_variables)]
+        # Stats-cache score memos are shared only between testers of one
+        # statistic and one dof rule (statscache module docstring).
+        self._memo_kind = (type(self), dof_adjust)
         self._builder = None
         if stats_cache is not None:
             from ..engine.statscache import CachedTableBuilder
@@ -423,16 +441,27 @@ class ContingencyTableTest:
             return []
         if self.batch_groups:
             return self._test_groups_fused(items, prefix, decide)
-        # Looped reference path: one group at a time, stopping at the
-        # first accepting group, so nothing is ever discarded.
-        def looped(x: int, y: int, sets: list[tuple[int, ...]]) -> list[CITestResult]:
-            res = self._test_group_looped(x, y, sets)
-            return res if decide is None else [decide(r) for r in res]
-
-        return [
-            group_prefix(looped, x, y, sets, prefix or max(len(sets), 1))
-            for x, y, sets in items
-        ]
+        # Looped reference path, in the fused commit's round order: group
+        # j of every item still live, then group j + 1; an item stops after
+        # its first accepting group, so nothing is ever discarded.
+        longest = max(len(sets) for _, _, sets in items)
+        step = prefix or max(longest, 1)
+        out: list[list[CITestResult]] = [[] for _ in items]
+        live = range(len(items))
+        for j in range(0, longest, step):
+            still = []
+            for g in live:
+                x, y, sets = items[g]
+                if j >= len(sets):
+                    continue
+                res = self._test_group_looped(x, y, sets[j : j + step])
+                if decide is not None:
+                    res = [decide(r) for r in res]
+                out[g].extend(res)
+                if not any(r.independent for r in res):
+                    still.append(g)
+            live = still
+        return out
 
     # ------------------------------------------------------------------ #
     # looped path (reference oracle)
@@ -455,11 +484,11 @@ class ContingencyTableTest:
     ) -> CITestResult:
         ds = self.dataset
         rx, ry = ds.arity(x), ds.arity(y)
-        rz = [ds.arity(v) for v in s]
 
         from_cache: bool | None = None
+        entry = None
         if self._builder is not None:
-            counts, nz_structural, from_cache = self._builder.ci_counts(x, y, s)
+            counts, nz_structural, from_cache, entry = self._builder.ci_counts(x, y, s)
         else:
             counts, nz_structural, _dense = ci_counts(
                 ds.column(x),
@@ -467,11 +496,17 @@ class ContingencyTableTest:
                 ds.columns(s),
                 rx,
                 ry,
-                rz,
+                [ds.arity(v) for v in s],
                 compress_threshold=self.compress_threshold,
                 xy_codes=xy_codes,
             )
-        res, n_logs = self._score(x, y, s, counts, nz_structural, rx, ry)
+        memo = None if entry is None else entry.memo
+        if memo is not None and memo[0] == self._memo_kind:
+            res, n_logs = self._from_memo(x, y, s, memo), memo[4]
+        else:
+            res, n_logs = self._score(x, y, s, counts, nz_structural, rx, ry)
+            if entry is not None:
+                entry.memo = self._memo(res, n_logs)
         self.counters.record(
             depth=len(s),
             m=ds.n_samples,
@@ -481,6 +516,15 @@ class ContingencyTableTest:
             from_cache=from_cache,
         )
         return res
+
+    def _memo(self, res: CITestResult, n_logs: int) -> tuple:
+        """The stats-cache score memo of a freshly scored table."""
+        return (self._memo_kind, res.statistic, res.dof, res.p_value, n_logs)
+
+    def _from_memo(self, x: int, y: int, s: tuple[int, ...], memo: tuple) -> CITestResult:
+        """The result a score memo answers, decided at this tester's alpha."""
+        _kind, stat, dof, p, _n_logs = memo
+        return CITestResult(x, y, s, stat, dof, p, p > self.alpha)
 
     def _score(
         self,
@@ -532,9 +576,12 @@ class ContingencyTableTest:
         jobs: list[list[_Job]] = []
 
         # -- plan: no side effects on the cache or the counters ---------- #
-        # With a cache, resident tables are read without recency or counter
+        # With a cache, resident entries are read without recency or counter
         # effects; commit replays the cache events of the tests that count.
+        # A resident entry memoised by this tester's kind answers its test
+        # here: the job is never built or scored.
         peek = builder.cache.peek if builder is not None else None
+        kind = self._memo_kind
         planned: dict[tuple, _Job] = {}
         for g, (x, y, sets) in enumerate(items):
             ry = ar[y]
@@ -560,7 +607,15 @@ class ContingencyTableTest:
                 if builder is not None:
                     job.key = key
                     planned[key] = job
-                    job.table = peek(key)
+                    entry = peek(key)
+                    if entry is not None:
+                        job.table = entry.value
+                        memo = entry.memo
+                        if memo is not None and memo[0] == kind:
+                            job.memo, job.logs = memo, memo[4]
+                            job.cells = job.table[0].size
+                            results[g][i] = self._from_memo(x, y, s, memo)
+                            continue
                 (entries if dense else loose).append(job)
 
         # -- build -------------------------------------------------------- #
@@ -582,10 +637,11 @@ class ContingencyTableTest:
                 )
                 job.table = (counts, nz_structural)
             counts, nz_structural = job.table
-            results[job.g][job.i], job.logs = self._score(
-                x, y, job.s, counts, nz_structural, rx, ry
-            )
+            res, job.logs = self._score(x, y, job.s, counts, nz_structural, rx, ry)
+            results[job.g][job.i] = res
             job.cells = counts.size
+            if builder is not None:
+                job.memo = self._memo(res, job.logs)
         if builder is not None:
             for g, row in enumerate(jobs):
                 for i, job in enumerate(row):
@@ -691,9 +747,11 @@ class ContingencyTableTest:
     ) -> None:
         """Fused build + statistics for one wave of dense jobs.
 
-        Jobs whose table is already resident in the stats cache take a
+        Jobs whose table is already resident in the stats cache (but not
+        memoised by this tester's kind, which the plan answers) take a
         slot in the wave's histogram like built ones (their table is
         copied in), so one stacked reduction scores hits and builds alike.
+        With a cache, every job leaves with its score memo.
         """
         builder = self._builder
         arena = self.arena
@@ -824,6 +882,8 @@ class ContingencyTableTest:
             for e, r, lg in zip(sub, recs, logs_l[b:c], strict=True):
                 res_g[e.i] = r
                 e.logs = lg
+                if builder is not None:
+                    e.memo = self._memo(r, lg)
         if builder is not None:
             for e in built:
                 # Materialise a standalone copy: a contiguous *view* would

@@ -918,8 +918,9 @@ class EngineServer:
         (``cached=False``) where the sequential run would have hit, with
         payloads identical either way.
 
-        ``timings``, when given, is a caller-owned list that receives one
-        record per yielded response (same order as the responses):
+        ``timings``, when given, is a caller-owned list (or any object
+        with ``append``) that receives one record per yielded response
+        (same order as the responses):
         ``{"lane", "t_in", "t_start", "t_done", "t_yield"}`` with
         ``time.monotonic()`` stamps at intake, worker pick, completion
         and yield.  The wire schema is untouched — this is the latency

@@ -20,9 +20,14 @@ into a long-lived service object.  It owns, for exactly one dataset:
   them, with a finalizer backstop for crashed runs.
 
 Successive calls are exact: cached tables are byte-identical to freshly
-built ones (shared construction code), p-values are alpha-free so relearns
-re-threshold rather than re-test, and the CI-level scheduler's output is
-scheduling-order invariant.  ``learn()`` here equals
+built ones (shared construction code), and the CI-level scheduler's output
+is scheduling-order invariant.  p-values are alpha-free, so relearns
+re-threshold rather than re-test: every cached table carries the score
+memo ``(kind, statistic, dof, p_value, n_logs)`` of the last tester that
+scored it, and a tester of the same statistic and ``dof_adjust`` answers
+a hit from that memo, deciding ``p_value > alpha`` at its own alpha.  The
+memo is not billed against ``cache_bytes`` (nor spilled), and work
+counters bill a memo hit exactly like a re-scored one.  ``learn()`` here equals
 :func:`repro.core.learn.learn_structure` with ``method="fast-bns"`` on the
 same inputs, bit for bit.
 """

@@ -26,7 +26,15 @@ from the data columns (paper optimisation (iv)), never stored:
 * the fused group kernel reads the cache side-effect free while it plans
   and builds, then replays the cache events of the tests it keeps through
   :meth:`CachedTableBuilder.commit` — one lock acquisition per kernel
-  call instead of one per table.
+  call instead of one per table;
+* every entry carries one score memo, ``(kind, statistic, dof, p_value,
+  n_logs)``, written by the last tester that scored its table (``kind``
+  names the statistic class and its ``dof_adjust``).  A hit by a tester
+  of the same kind answers from the memo without re-scoring; the verdict
+  ``p_value > alpha`` is taken fresh, so one memo serves every alpha.
+  The memo holds exactly the floats the scoring code computed, is not
+  billed against the byte budget (like the entry's object overhead) and
+  is not spilled: a promoted entry is scored once and memoised again.
 
 Hit/miss/eviction/byte counters are exact and feed both
 :class:`~repro.citests.base.CITestCounters` and the Table IV simulated
@@ -113,6 +121,9 @@ class _Entry:
     value: object
     nbytes: int
     kind: str  # "table" (the spill tier's row format keeps the field)
+    # Score memo ``(kind, statistic, dof, p_value, n_logs)`` of the last
+    # tester that scored the table (module docstring); never spilled.
+    memo: tuple | None = None
 
 
 def _is_pending(entry: _Entry) -> bool:
@@ -189,13 +200,14 @@ class SufficientStatsCache:
             self.hits += 1
         return entry
 
-    def peek(self, key: Hashable) -> object | None:
-        """A resident value without any side effect (no recency, counter,
-        or spill event); ``None`` when absent or a pending slot."""
+    def peek(self, key: Hashable) -> _Entry | None:
+        """A resident entry (value and memo) without any side effect (no
+        recency, counter, or spill event); ``None`` when absent or a
+        pending slot."""
         entry = self._entries.get(key)
         if entry is None or _is_pending(entry):
             return None
-        return entry.value
+        return entry
 
     def _get_locked(self, key: Hashable) -> _Entry | None:
         entry = self._entries.get(key)
@@ -229,15 +241,18 @@ class SufficientStatsCache:
         self._evict_locked()
         return entry
 
-    def put(self, key: Hashable, value: object, nbytes: int, kind: str = "table") -> None:
-        """Insert (or replace) an entry and evict until the budget holds.
+    def put(
+        self, key: Hashable, value: object, nbytes: int, kind: str = "table"
+    ) -> _Entry | None:
+        """Insert (or replace) an entry and evict until the budget holds;
+        returns the new entry, or ``None`` when it was not admitted.
 
         An entry larger than the whole budget is not admitted at all —
         caching it would immediately evict everything else for a value
         that can never be re-served within budget.
         """
         with self._lock:
-            self._put_locked(key, value, nbytes, kind)
+            return self._put_locked(key, value, nbytes, kind)
 
     def put_many(self, entries: Iterable[tuple]) -> None:
         """Bulk insert under one lock acquisition and one eviction sweep.
@@ -253,20 +268,27 @@ class SufficientStatsCache:
                 self._insert_locked(key, value, nbytes, kind)
             self._evict_locked()
 
-    def _put_locked(self, key: Hashable, value: object, nbytes: int, kind: str) -> None:
-        self._insert_locked(key, value, nbytes, kind)
+    def _put_locked(
+        self, key: Hashable, value: object, nbytes: int, kind: str
+    ) -> _Entry | None:
+        entry = self._insert_locked(key, value, nbytes, kind)
+        # The fresh entry is the hottest, so the sweep never evicts it.
         self._evict_locked()
+        return entry
 
-    def _insert_locked(self, key: Hashable, value: object, nbytes: int, kind: str) -> None:
+    def _insert_locked(
+        self, key: Hashable, value: object, nbytes: int, kind: str
+    ) -> _Entry | None:
         nbytes = int(nbytes)
         old = self._entries.pop(key, None)
         if old is not None:
             self.current_bytes -= old.nbytes
         if nbytes > self.max_bytes:
-            return
-        self._entries[key] = _Entry(value, nbytes, kind)
+            return None
+        entry = self._entries[key] = _Entry(value, nbytes, kind)
         self.current_bytes += nbytes
         self.puts += 1
+        return entry
 
     def _evict_locked(self) -> None:
         while self.current_bytes > self.max_bytes and self._entries:
@@ -316,9 +338,10 @@ class CachedTableBuilder:
     """Dataset-bound front door of the stats cache for the CI testers.
 
     ``ci_counts(x, y, s)`` returns exactly what the uncached tester path
-    would compute — ``(counts, nz_structural, from_cache)`` — from a
-    direct key hit or a fresh build from the data columns, which is then
-    inserted so later queries hit directly.  The fused kernel instead
+    would compute — ``(counts, nz_structural)`` plus the ``from_cache``
+    flag and the entry holding the table — from a direct key hit or a
+    fresh build from the data columns, which is then inserted so later
+    queries hit directly.  The fused kernel instead
     builds on its own and replays its tests' cache events through
     :meth:`commit`.
     """
@@ -344,14 +367,15 @@ class CachedTableBuilder:
 
         The fused kernel plans and builds without touching the cache, then
         hands the tests it keeps here as *rounds* of jobs; a job carries
-        ``key`` (its :meth:`table_key`), ``dense``, ``cells`` and ``table``
-        (``(counts, nz_structural)``).  For each test this makes exactly
-        the events a one-test-at-a-time evaluation of the same stream
-        would make: one table lookup (a hit ends there), else one store —
-        a dense table as a sized reservation filled when its round ends, a
-        compressed one directly.  Recency, evictions, spill traffic and
-        counters therefore match per-set evaluation, under one lock
-        acquisition.
+        ``key`` (its :meth:`table_key`), ``dense``, ``cells``, ``table``
+        (``(counts, nz_structural)``) and ``memo`` (its score).  For each
+        test this makes exactly the events a one-test-at-a-time evaluation
+        of the same stream would make: one table lookup (a hit ends there),
+        else one store — a dense table as a sized reservation filled when
+        its round ends, a compressed one directly.  Recency, evictions,
+        spill traffic and counters therefore match per-set evaluation,
+        under one lock acquisition.  The entry each test hits or stores
+        takes the test's memo.
 
         Returns one flag per test: ``True`` for a table hit.
         """
@@ -365,9 +389,11 @@ class CachedTableBuilder:
                 reserved = []
                 for job in rnd:
                     key = job.key
-                    if get(key) is not None:
+                    entry = get(key)
+                    if entry is not None:
                         cache.hits += 1
                         hits.append(True)
+                        entry.memo = job.memo
                         continue
                     cache.misses += 1
                     hits.append(False)
@@ -376,22 +402,30 @@ class CachedTableBuilder:
                         put(key, (_PENDING, job.table[1]), job.cells * 8, "table")
                         reserved.append(job)
                     else:
-                        put(key, job.table, job.table[0].nbytes, "table")
+                        entry = put(key, job.table, job.table[0].nbytes, "table")
+                        if entry is not None:
+                            entry.memo = job.memo
                 for job in reserved:
                     entry = entries.get(job.key)
                     if entry is not None:
                         entry.value = job.table
+                        entry.memo = job.memo
         return hits
 
     def ci_counts(
         self, x: int, y: int, s: tuple[int, ...]
-    ) -> tuple[np.ndarray, int, bool]:
-        """Resolve-or-build one table (the looped path's front door)."""
+    ) -> tuple[np.ndarray, int, bool, _Entry | None]:
+        """Resolve-or-build one table (the looped path's front door).
+
+        Returns ``(counts, nz_structural, from_cache, entry)``: ``entry``
+        is the cache entry holding the table, whose score memo the caller
+        reads and writes (``None`` when the table was not admitted).
+        """
         key = self.table_key(x, y, s)
         entry = self.cache.get(key)
         if entry is not None:
             counts, nz_structural = entry.value  # type: ignore[misc]
-            return counts, nz_structural, True
+            return counts, nz_structural, True, entry
         ds = self.dataset
         counts, nz_structural, _dense = ci_counts(
             ds.column(x),
@@ -402,5 +436,5 @@ class CachedTableBuilder:
             [ds.arity(v) for v in s],
             compress_threshold=self.compress_threshold,
         )
-        self.cache.put(key, (counts, nz_structural), counts.nbytes)
-        return counts, nz_structural, False
+        entry = self.cache.put(key, (counts, nz_structural), counts.nbytes)
+        return counts, nz_structural, False, entry

@@ -44,6 +44,24 @@ from .server import DEFAULT_WINDOW, EngineServer, ParseFailure
 
 __all__ = ["EngineTransport", "LineStream", "parse_address"]
 
+#: Completion-latency samples kept, per connection and per transport
+#: (most recent win).
+_LATENCY_SAMPLES = 65536
+
+
+class _LatencySink:
+    """``timings`` sink of one connection: keeps only each response's
+    completion latency (``t_done - t_in``) in a bounded deque, not the
+    dispatcher's per-response record."""
+
+    __slots__ = ("samples",)
+
+    def __init__(self) -> None:
+        self.samples: deque[float] = deque(maxlen=_LATENCY_SAMPLES)
+
+    def append(self, rec: dict) -> None:
+        self.samples.append(rec["t_done"] - rec["t_in"])
+
 
 def parse_address(spec) -> tuple[str, object]:
     """Resolve a listen/connect spec to ``(family, address)``.
@@ -167,9 +185,9 @@ class _Connection:
     def run(self) -> None:
         t = self.transport
         stream = LineStream(self.sock, t._draining_conns)
-        timings: list[dict] = []
+        latencies = _LatencySink()
         gen = t.engine.serve_iter(
-            self._requests(stream), threads=t.threads, window=t.window, timings=timings
+            self._requests(stream), threads=t.threads, window=t.window, timings=latencies
         )
         try:
             for resp in gen:
@@ -183,7 +201,7 @@ class _Connection:
         finally:
             gen.close()
             self._close_cleanly()
-            t._note_latencies(timings)
+            t._note_latencies(latencies.samples)
             t._connection_done(self)
 
     #: How long a drain waits for a client that stopped reading before
@@ -327,7 +345,7 @@ class EngineTransport:
         self.n_responses = 0
         # Server-side completion latencies (t_done - t_in, seconds) over
         # all finished connections — bounded, most recent samples win.
-        self._latencies_s: deque[float] = deque(maxlen=65536)
+        self._latencies_s: deque[float] = deque(maxlen=_LATENCY_SAMPLES)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -415,10 +433,9 @@ class EngineTransport:
             self._connections.discard(conn)
             self.n_responses += conn.n_responses
 
-    def _note_latencies(self, timings: list[dict]) -> None:
+    def _note_latencies(self, samples: deque[float]) -> None:
         with self._lock:
-            for t in timings:
-                self._latencies_s.append(t["t_done"] - t["t_in"])
+            self._latencies_s.extend(samples)
 
     def latency_summary(self) -> dict:
         """p50/p95/p99/max/mean (ms) of server-side completion latency

@@ -638,7 +638,7 @@ def test_column_kernel_equals_per_set_tables(case):
         tester.test_groups(groups)
         for x, y, sets in groups:
             for s in sets:
-                counts, nz = cache.peek(tester._builder.table_key(x, y, s))
+                counts, nz = cache.peek(tester._builder.table_key(x, y, s)).value
                 ref, nz_ref, _dense = ci_counts(
                     ds.column(x),
                     ds.column(y),

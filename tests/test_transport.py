@@ -187,6 +187,31 @@ class TestConcurrentClients:
                 _payload(b) for b in direct
             ]
 
+    def test_long_connection_keeps_latency_floats_only(self, transport, monkeypatch):
+        # A connection keeps one float per response, not the dispatcher's
+        # timing record; the summary is the one the records would give.
+        from repro.engine import transport as transport_mod
+        from repro.engine.workload import summarize_latencies
+
+        sinks, records = [], []
+        real_append = transport_mod._LatencySink.append
+
+        def spy(sink, rec):
+            if sink not in sinks:
+                sinks.append(sink)
+            records.append(dict(rec))
+            real_append(sink, rec)
+
+        monkeypatch.setattr(transport_mod._LatencySink, "append", spy)
+        with EngineClient(transport.describe(), timeout=TIMEOUT) as client:
+            for i in range(40):
+                client.learn("asia" if i % 2 else "sprinkler", max_depth=i % 3)
+        transport.shutdown(timeout=TIMEOUT)
+        assert len(sinks) == 1 and len(records) == 40
+        assert all(type(v) is float for v in sinks[0].samples)
+        want = summarize_latencies([r["t_done"] - r["t_in"] for r in records])
+        assert transport.latency_summary() == want
+
     def test_connection_counters(self, transport):
         with EngineClient(transport.describe(), timeout=TIMEOUT) as c1:
             c1.learn("asia", max_depth=0)
