@@ -4,7 +4,7 @@ Six sub-commands::
 
     fastbns learn       # learn a structure from a CSV file or a benchmark
     fastbns blanket     # discover one variable's Markov blanket
-    fastbns batch       # serve a JSONL stream of requests over ONE dataset
+    fastbns batch       # `serve` over ONE dataset given by --csv/--bif/--network
     fastbns serve       # multi-dataset JSONL server (EngineServer)
     fastbns workload    # record/replay seeded traffic traces, report SLOs
     fastbns experiment  # regenerate a paper table/figure
@@ -19,10 +19,11 @@ Learn from a CSV of integer-coded categories::
 
     python -m repro learn --csv data.csv --alpha 0.01
 
-Serve a stream of requests against one dataset through a persistent
-:class:`~repro.engine.session.LearningSession` (shared statistics cache,
+Serve a stream of requests against one dataset (shared statistics cache,
 long-lived workers, duplicate requests answered from the result cache),
-writing one JSON result per request plus a per-run manifest::
+writing one JSON result per request plus a per-run manifest.  ``batch``
+is ``serve`` with its one source registered as the default dataset, so
+requests need no ``dataset`` tag and the run summary goes to stderr::
 
     python -m repro batch --network alarm --requests reqs.jsonl \\
         --out results.jsonl --manifest manifest.json --jobs 4
@@ -120,6 +121,43 @@ def _gs_argument(value: str):
     return gs
 
 
+def _add_source_flags(p: argparse.ArgumentParser) -> None:
+    """The one-dataset source flags of ``learn``, ``blanket`` and ``batch``."""
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--csv", help="CSV file of integer category codes (header = names)")
+    src.add_argument("--bif", help="BIF network file; data is forward-sampled from it")
+    src.add_argument("--network", help="benchmark network name (see `experiment table2`)")
+    p.add_argument("--samples", type=int, default=5000, help="sample count for --network/--bif")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed for --bif (--network datasets are seeded by the catalog)")
+    p.add_argument("--scale", type=float, default=None, help="scale factor for --network")
+
+
+def _add_engine_flags(p: argparse.ArgumentParser) -> None:
+    """The session settings of every serving command (see :func:`_server_kwargs`)."""
+    p.add_argument("--test", default="g2", choices=("g2", "chi2", "mi"))
+    p.add_argument("--alpha", type=float, default=0.05, help="default significance level")
+    p.add_argument("--jobs", type=int, default=1, help="worker count per session (1 = sequential)")
+    p.add_argument("--backend", default="process", choices=("process", "thread"))
+    p.add_argument(
+        "--no-shm",
+        action="store_true",
+        help="ship datasets to process workers by pickling instead of the "
+        "zero-copy shared-memory plane (results are identical)",
+    )
+    p.add_argument(
+        "--cache-mb", type=int, default=64, help="per-session stats-cache LRU budget in MiB"
+    )
+    p.add_argument(
+        "--store",
+        default=None,
+        metavar="PATH",
+        help="durable SQLite store shared by every session: results, skeletons, "
+        "stats spill and the manifest journal persist, so evicted sessions "
+        "revive warm and a rerun over the same path answers previously-served "
+        "requests byte-identically without recomputing",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fastbns",
@@ -128,13 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     learn = sub.add_parser("learn", help="learn a CPDAG from data")
-    src = learn.add_mutually_exclusive_group(required=True)
-    src.add_argument("--csv", help="CSV file of integer category codes (header = names)")
-    src.add_argument("--bif", help="BIF network file; data is forward-sampled from it")
-    src.add_argument("--network", help="benchmark network name (see `experiment table2`)")
-    learn.add_argument("--samples", type=int, default=5000, help="sample count for --network/--bif")
-    learn.add_argument("--seed", type=int, default=0, help="sampling seed for --bif (--network datasets are seeded by the catalog)")
-    learn.add_argument("--scale", type=float, default=None, help="scale factor for --network")
+    _add_source_flags(learn)
     learn.add_argument(
         "--method",
         default="fast-bns",
@@ -164,15 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch = sub.add_parser(
         "batch",
-        help="serve a JSONL stream of learn/blanket requests over one dataset",
+        help="serve a JSONL stream of learn/blanket requests over one dataset "
+        "(`serve` with the source as its default dataset)",
     )
-    bsrc = batch.add_mutually_exclusive_group(required=True)
-    bsrc.add_argument("--csv", help="CSV file of integer category codes (header = names)")
-    bsrc.add_argument("--bif", help="BIF network file; data is forward-sampled from it")
-    bsrc.add_argument("--network", help="benchmark network name (see `experiment table2`)")
-    batch.add_argument("--samples", type=int, default=5000, help="sample count for --network/--bif")
-    batch.add_argument("--seed", type=int, default=0, help="sampling seed for --bif (--network datasets are seeded by the catalog)")
-    batch.add_argument("--scale", type=float, default=None, help="scale factor for --network")
+    _add_source_flags(batch)
     batch.add_argument(
         "--requests",
         required=True,
@@ -181,27 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--out", required=True, help="output JSONL file, one result per line")
     batch.add_argument("--manifest", default=None, help="optional per-run manifest JSON path")
-    batch.add_argument("--test", default="g2", choices=("g2", "chi2", "mi"))
-    batch.add_argument("--alpha", type=float, default=0.05, help="default significance level")
-    batch.add_argument("--jobs", type=int, default=1, help="worker count (1 = sequential)")
-    batch.add_argument("--backend", default="process", choices=("process", "thread"))
-    batch.add_argument(
-        "--no-shm",
-        action="store_true",
-        help="ship the dataset to process workers by pickling instead of the "
-        "zero-copy shared-memory plane (results are identical)",
-    )
-    batch.add_argument(
-        "--cache-mb", type=int, default=64, help="stats-cache LRU budget in MiB"
-    )
-    batch.add_argument(
-        "--store",
-        default=None,
-        metavar="PATH",
-        help="durable SQLite store: results, skeletons, stats spill and the "
-        "manifest journal persist across runs, so a rerun over the same "
-        "dataset answers repeated requests warm with byte-identical payloads",
-    )
+    _add_engine_flags(batch)
+    # The serve settings batch has no flags for: one sequential lane.
+    batch.set_defaults(threads=1, window=64, max_sessions=4, lane_weight=[])
 
     serve = sub.add_parser(
         "serve",
@@ -252,16 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         "document with exact totals",
     )
     serve.add_argument(
-        "--router-mode",
-        default="auto",
-        choices=("auto", "fds", "reuseport"),
-        help="how connections reach the serve workers with --processes: "
-        "'fds' passes each accepted fd to a worker over a Unix socketpair "
-        "(TCP and unix listeners), 'reuseport' has every worker listen on "
-        "the same TCP port with SO_REUSEPORT and lets the kernel balance "
-        "accepts (TCP only); 'auto' prefers fds",
-    )
-    serve.add_argument(
         "--threads",
         type=int,
         default=1,
@@ -284,27 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--seed", type=int, default=0, help="default sampling seed for --register bif sources"
     )
-    serve.add_argument("--test", default="g2", choices=("g2", "chi2", "mi"))
-    serve.add_argument("--alpha", type=float, default=0.05, help="default significance level")
-    serve.add_argument("--jobs", type=int, default=1, help="worker count per session")
-    serve.add_argument("--backend", default="process", choices=("process", "thread"))
-    serve.add_argument(
-        "--no-shm",
-        action="store_true",
-        help="ship datasets to process workers by pickling instead of the "
-        "zero-copy shared-memory plane (results are identical)",
-    )
-    serve.add_argument(
-        "--cache-mb", type=int, default=64, help="per-session stats-cache LRU budget in MiB"
-    )
-    serve.add_argument(
-        "--store",
-        default=None,
-        metavar="PATH",
-        help="durable SQLite store shared by every session: evicted sessions "
-        "revive warm, and a restarted server over the same path answers "
-        "previously-served streams byte-identically without recomputing",
-    )
+    _add_engine_flags(serve)
     serve.add_argument(
         "--lane-weight",
         action="append",
@@ -363,14 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--threads", type=int, default=2, help="dispatcher threads")
         p.add_argument("--window", type=int, default=64, help="in-flight window")
-        p.add_argument("--jobs", type=int, default=1, help="workers per session")
-        p.add_argument("--backend", default="process", choices=("process", "thread"))
-        p.add_argument("--no-shm", action="store_true")
-        p.add_argument("--test", default="g2", choices=("g2", "chi2", "mi"))
-        p.add_argument("--alpha", type=float, default=0.05)
+        _add_engine_flags(p)
         p.add_argument("--max-sessions", type=int, default=8)
-        p.add_argument("--cache-mb", type=int, default=64)
-        p.add_argument("--store", default=None, metavar="PATH")
         p.add_argument(
             "--samples",
             type=int,
@@ -420,14 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     wrun.add_argument("--out", default=None, help="also save the generated trace here")
 
     mb = sub.add_parser("blanket", help="discover one variable's Markov blanket")
-    mbsrc = mb.add_mutually_exclusive_group(required=True)
-    mbsrc.add_argument("--csv", help="CSV file of integer category codes (header = names)")
-    mbsrc.add_argument("--bif", help="BIF network file; data is forward-sampled from it")
-    mbsrc.add_argument("--network", help="benchmark network name (see `experiment table2`)")
+    _add_source_flags(mb)
     mb.add_argument("--target", required=True, help="target variable (name or index)")
-    mb.add_argument("--samples", type=int, default=5000, help="sample count for --network/--bif")
-    mb.add_argument("--seed", type=int, default=0, help="sampling seed for --bif (--network datasets are seeded by the catalog)")
-    mb.add_argument("--scale", type=float, default=None, help="scale factor for --network")
     mb.add_argument("--algorithm", default="iamb", choices=("iamb", "grow-shrink"))
     mb.add_argument("--alpha", type=float, default=0.01)
     mb.add_argument("--max-conditioning", type=int, default=3)
@@ -468,33 +435,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_dataset(args: argparse.Namespace):
-    """Resolve the shared --csv/--bif/--network data-source options.
+def _source(args: argparse.Namespace):
+    """The :class:`~repro.engine.server.DatasetSource` named by the
+    --csv/--bif/--network flags.
 
-    Delegates to :class:`~repro.engine.server.DatasetSource` so the CLI
-    and the serve registry share one implementation of source semantics —
-    a ``fastbns learn --bif x`` and a registered bif source materialise
-    identical datasets for identical parameters.
+    The CLI and the serve registry share one implementation of source
+    semantics — a ``fastbns learn --bif x`` and a registered bif source
+    materialise identical datasets for identical parameters.
     """
     from .engine.server import DatasetSource
 
     if args.csv:
-        source = DatasetSource(kind="csv", path=args.csv)
-    elif args.bif:
-        source = DatasetSource(
-            kind="bif", path=args.bif, samples=args.samples, seed=args.seed
-        )
-    else:
-        source = DatasetSource(
-            kind="network", name=args.network, samples=args.samples, scale=args.scale
-        )
-    return source.load()
+        return DatasetSource(kind="csv", path=args.csv)
+    if args.bif:
+        return DatasetSource(kind="bif", path=args.bif, samples=args.samples, seed=args.seed)
+    return DatasetSource(
+        kind="network", name=args.network, samples=args.samples, scale=args.scale
+    )
+
+
+def _server_kwargs(args: argparse.Namespace, **extra) -> dict:
+    """:class:`~repro.engine.server.EngineServer` settings from the
+    serving flags (:func:`_add_engine_flags`, ``--max-sessions``,
+    ``--lane-weight``), plus ``extra``."""
+    return dict(
+        test=args.test,
+        alpha=args.alpha,
+        n_jobs=args.jobs,
+        backend=args.backend,
+        cache_bytes=args.cache_mb << 20,
+        use_shm=False if args.no_shm else None,
+        max_sessions=args.max_sessions,
+        store=args.store,
+        lane_weights=_parse_lane_weights(args.lane_weight),
+        **extra,
+    )
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
     from .core.learn import learn_structure
 
-    data = _load_dataset(args)
+    data = _source(args).load()
     result = learn_structure(
         data,
         method=args.method,
@@ -615,86 +596,21 @@ def _quiet_stdout_teardown() -> None:
         pass
 
 
+#: The id ``fastbns batch`` registers its one source under; ``batch``
+#: responses carry it as ``dataset``.
+BATCH_DATASET = "batch"
+
+
 def _cmd_batch(args: argparse.Namespace) -> int:
-    import json
+    """``fastbns batch``: ``serve`` with one source as the default dataset."""
+    from .engine.server import EngineServer
 
-    from .engine import BatchServer, LearningSession
-
-    data = _load_dataset(args)
-
-    def requests():
-        # Shares the serve framer: a malformed line becomes an ordered
-        # error response instead of a stream-aborting traceback that
-        # would lose the manifest.
-        if args.requests == "-":
-            yield from _iter_jsonl(sys.stdin)
-        else:
-            with open(args.requests, encoding="utf-8") as fh:
-                yield from _iter_jsonl(fh)
-
-    interrupted = False
-    with LearningSession(
-        data,
-        test=args.test,
-        alpha=args.alpha,
-        n_jobs=args.jobs,
-        backend=args.backend,
-        cache_bytes=args.cache_mb << 20,
-        use_shm=False if args.no_shm else None,
-        store=args.store,
-    ) as session, _InterruptGuard() as guard:
-        server = BatchServer(session)
-        # The session owns the store (path form); journalling rows as they
-        # are served is what survives a crash that never writes --manifest.
-        journal = session.store.journal() if session.store is not None else None
-        manifest = server.new_manifest(journal=journal)
-        # Stream responses as they are computed (flushed per line): an
-        # interrupted run keeps everything served before the signal, and
-        # `--requests -` composes with live pipes instead of slurping
-        # stdin first.
-        with open(args.out, "w", encoding="utf-8") as fh:
-            try:
-                for resp in server.serve_iter(requests(), manifest=manifest):
-                    fh.write(json.dumps(resp) + "\n")
-                    fh.flush()
-            except KeyboardInterrupt:
-                interrupted = True
-        # Epilogue under the guard with signals demoted to recorders: a
-        # late Ctrl-C must not truncate the manifest mid-write.
-        guard.absorb()
-        # With n_jobs > 1 the learn-phase tables live in the *worker*
-        # caches; fold them in so the audit trail reflects where the
-        # hits actually happened.
-        cache_doc = session.cache_stats().as_dict()
-        workers = session.worker_cache_stats()
-        if workers:
-            cache_doc["workers"] = workers
-        if args.manifest:
-            manifest.write(args.manifest, cache_stats=cache_doc)
-        totals = manifest.totals()
-        hits = cache_doc["hits"] + sum(w["hits"] for w in workers)
-        misses = cache_doc["misses"] + sum(w["misses"] for w in workers)
-        resident = cache_doc["current_bytes"] + sum(w["current_bytes"] for w in workers)
-        store_part = ""
-        if session.store is not None:
-            store_part = (
-                f" | store: {server.n_store_hits} result hits, "
-                f"{session.n_skeleton_loads} skeleton loads"
-            )
-        print(
-            ("interrupted after " if interrupted else "served ")
-            + f"{totals['n_requests']} requests "
-            f"({totals['n_computed']} computed, "
-            f"{totals['n_result_cache_hits']} result-cache hits, "
-            f"{totals['n_errors']} errors) "
-            f"in {totals['elapsed_s']:.3f}s | "
-            f"stats cache: {hits} hits / {misses} misses "
-            f"({resident / 1e6:.1f} MB resident"
-            + (f" across master + {len(workers)} workers)" if workers else ")")
-            + store_part,
-            file=sys.stderr if interrupted else sys.stdout,
-        )
-    return guard.exit_code if interrupted else 0
+    with EngineServer(**_server_kwargs(args, default_dataset=BATCH_DATASET)) as server:
+        server.register(BATCH_DATASET, _source(args))
+        # Load now: a source that cannot load fails the command, not
+        # every request line.
+        server.resolve_fingerprint(BATCH_DATASET)
+        return _serve_stream(args, server)
 
 
 def _serve_summary(server, n_served: int, *, interrupted: bool) -> None:
@@ -720,7 +636,7 @@ def _serve_summary(server, n_served: int, *, interrupted: bool) -> None:
 
 
 def _serve_stream(args: argparse.Namespace, server) -> int:
-    """``fastbns serve`` over --requests/--out: one streaming dispatcher.
+    """``fastbns serve`` (and ``batch``) over --requests/--out: one streaming dispatcher.
 
     Responses are emitted (and flushed) per input line at every thread
     count — the dispatcher's in-flight window, not the stream length,
@@ -821,35 +737,22 @@ def _serve_processes(args: argparse.Namespace, registrations, default) -> int:
     engine work happens in N forked serve workers sharded by dataset
     content fingerprint, with the run manifest merged across workers.
     """
-    import socket as _socket
-
     from .engine.procserve import ProcessPlane
 
-    mode = args.router_mode
-    if mode == "auto":
-        mode = "fds" if hasattr(_socket, "send_fds") else "reuseport"
     interrupted = False
+    server_kwargs = _server_kwargs(
+        args, default_dataset=default, default_samples=args.samples, default_seed=args.seed
+    )
+    # The plane shards the store per worker; it is not a server setting here.
+    store = server_kwargs.pop("store")
     plane = ProcessPlane(
         args.listen,
         processes=args.processes,
-        mode=mode,
-        server_kwargs=dict(
-            test=args.test,
-            alpha=args.alpha,
-            n_jobs=args.jobs,
-            backend=args.backend,
-            cache_bytes=args.cache_mb << 20,
-            use_shm=False if args.no_shm else None,
-            max_sessions=args.max_sessions,
-            default_dataset=default,
-            default_samples=args.samples,
-            default_seed=args.seed,
-            lane_weights=_parse_lane_weights(args.lane_weight),
-        ),
+        server_kwargs=server_kwargs,
         registrations=registrations,
         threads=args.threads,
         window=args.window,
-        store=args.store,
+        store=store,
     )
     with _InterruptGuard() as guard:
         try:
@@ -875,7 +778,7 @@ def _serve_processes(args: argparse.Namespace, registrations, default) -> int:
             f"{totals['n_result_cache_hits']} result-cache hits, "
             f"{totals['n_errors']} errors) "
             f"across {plane.processes} worker process(es) | "
-            f"router: mode {plane.mode}, {plane.n_connections} connections, "
+            f"router: {plane.n_connections} connections, "
             f"{plane.n_respawns} respawns",
             file=sys.stderr,
         )
@@ -922,18 +825,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return _serve_processes(args, registrations, default)
 
     server = EngineServer(
-        test=args.test,
-        alpha=args.alpha,
-        n_jobs=args.jobs,
-        backend=args.backend,
-        cache_bytes=args.cache_mb << 20,
-        use_shm=False if args.no_shm else None,
-        max_sessions=args.max_sessions,
-        default_dataset=default,
-        default_samples=args.samples,
-        default_seed=args.seed,
-        store=args.store,
-        lane_weights=_parse_lane_weights(args.lane_weight),
+        **_server_kwargs(
+            args, default_dataset=default, default_samples=args.samples, default_seed=args.seed
+        )
     )
     with server:
         for ds_id, spec in registrations:
@@ -1033,18 +927,7 @@ def _workload_replay(args: argparse.Namespace, trace) -> int:
     else:
         from .engine.server import EngineServer
 
-        server = EngineServer(
-            test=args.test,
-            alpha=args.alpha,
-            n_jobs=args.jobs,
-            backend=args.backend,
-            cache_bytes=args.cache_mb << 20,
-            use_shm=False if args.no_shm else None,
-            max_sessions=args.max_sessions,
-            store=args.store,
-            lane_weights=_parse_lane_weights(args.lane_weight),
-        )
-        with server:
+        with EngineServer(**_server_kwargs(args)) as server:
             _workload_register(
                 server, trace.spec, _parse_registrations(args.register), args.samples
             )
@@ -1086,8 +969,8 @@ def _cmd_blanket(args: argparse.Namespace) -> int:
 
     # --network keeps the generating network around for the ground-truth
     # comparison; --csv/--bif have no ground truth, so those lines are
-    # simply omitted.  All three sources share _load_dataset semantics
-    # with `learn`/`batch` (satellite parity: same files, same seeds).
+    # simply omitted.  All three sources share _source semantics with
+    # `learn`/`batch` (same files, same seeds).
     network = None
     if args.network:
         from .bench.workloads import make_workload
@@ -1095,7 +978,7 @@ def _cmd_blanket(args: argparse.Namespace) -> int:
         wl = make_workload(args.network, args.samples, scale=args.scale)
         data, network, label = wl.dataset, wl.network, wl.label
     else:
-        data = _load_dataset(args)
+        data = _source(args).load()
         label = args.csv or args.bif
     try:
         target = int(args.target)

@@ -9,20 +9,23 @@ This subsystem makes runs first-class, reusable objects:
   :mod:`.statscache`);
 * :class:`LearningSession` — one dataset + one cache + one long-lived
   worker pool serving ``learn`` / ``relearn`` / ``markov_blanket`` calls;
-* :class:`BatchServer` — request-level layer that fingerprints, dedupes
-  and serves streams of requests (the ``fastbns batch`` CLI);
+* :class:`BatchServer` — per-session request layer that fingerprints,
+  dedupes and serves one dataset's requests (each live session of an
+  :class:`EngineServer` serves through one);
 * :class:`EngineServer` — multi-dataset layer above both: an LRU-bounded
   registry of sessions keyed by dataset fingerprint, created on first
   touch from registered :class:`DatasetSource`\\ s, with a thread-based
   dispatcher that overlaps different datasets while serialising
-  per-session access (the ``fastbns serve`` CLI; see :mod:`.server`);
+  per-session access (the ``fastbns serve`` CLI, and ``fastbns batch``
+  over one default dataset; see :mod:`.server`);
 * :class:`RunManifest` — auditable per-run artifact (one per session,
   merged across sessions by the server's run document);
 * :class:`EngineStore` — durable content-addressed persistence behind
   one SQLite file: request-fingerprint result cache, skeleton blobs, a
   disk spill tier under the stats cache, and a per-response manifest
   journal, giving warm restarts with byte-identical payloads
-  (``fastbns batch/serve --store PATH``; see :mod:`.store`);
+  (``fastbns serve --store PATH``, which ``batch`` shares; see
+  :mod:`.store`);
 * :class:`EngineTransport` / :class:`EngineClient` — a threaded TCP /
   Unix-socket front end speaking the same JSONL protocol, one streaming
   dispatcher (:meth:`EngineServer.serve_iter <.server.EngineServer.serve_iter>`)
@@ -35,8 +38,7 @@ This subsystem makes runs first-class, reusable objects:
   content fingerprints on worker processes;
 * :class:`ProcessPlane` — the multi-process serve plane (``fastbns serve
   --processes N``): a router process passes accepted connection fds to
-  ``N`` forked serve workers (or lets the kernel balance accepts via
-  ``SO_REUSEPORT``), each worker owning the sessions for its ring shard,
+  ``N`` forked serve workers, each worker owning the sessions for its ring shard,
   its own store shard and manifest-journal run id, with cross-worker
   request forwarding, worker respawn, and a merged run manifest whose
   totals are the exact sum of the per-worker parts (see

@@ -15,7 +15,7 @@ layer that exploits it:
    long-lived worker pool make even *non*-identical requests cheap when
    they share tables with earlier ones.
 
-Responses are plain dicts (JSONL-friendly for the ``fastbns batch`` CLI)
+Responses are plain dicts (JSONL-friendly for the ``fastbns`` serving CLIs)
 and always report ``fingerprint``, ``cached`` and ``elapsed_s`` so a
 client can audit what was recomputed.
 """

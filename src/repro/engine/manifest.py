@@ -5,7 +5,8 @@ A batch run is a first-class artifact: the manifest records what was asked
 result cache, how long each request took, and the exact state of the
 engine's caches at the end — enough to audit a run, diff two runs, or
 reproduce one (the dataset fingerprint pins the inputs).  Written as a
-single JSON document next to the results file by ``fastbns batch``.
+single JSON document next to the results file by ``fastbns serve`` and
+``fastbns batch`` (inside the server's run document).
 """
 
 from __future__ import annotations

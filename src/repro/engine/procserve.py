@@ -6,12 +6,10 @@ dispatch all contend even though the heavy CI kernels run in process
 pools, which caps the socket bench near 2x two lockstep engines.  The
 process plane (``fastbns serve --processes N``) escapes that ceiling:
 
-* the **router** (this process) owns the listen socket and a small
-  accept loop; each accepted connection's fd is passed to a serve worker
-  over a Unix ``SOCK_SEQPACKET`` socketpair (:func:`socket.send_fds`) —
-  or, in ``reuseport`` mode, workers bind the same TCP port with
-  ``SO_REUSEPORT`` and the kernel balances accepts, no fd passing at
-  all;
+* the **router** (this process) owns the listen socket (TCP or unix)
+  and a small accept loop; each accepted connection's fd is passed
+  round-robin to a live serve worker over a Unix ``SOCK_SEQPACKET``
+  socketpair (:func:`socket.send_fds`);
 * each **serve worker** is a forked process running its own
   :class:`EngineServer` + :meth:`serve_iter
   <repro.engine.server.EngineServer.serve_iter>` (its own GIL), an
@@ -75,7 +73,7 @@ from .manifest import (
 from .routing import HashRing
 from .server import DEFAULT_WINDOW, EngineServer
 from .store.journal import new_run_id
-from .transport import EngineTransport, parse_address
+from .transport import EngineTransport, bind_listener, parse_address
 
 __all__ = ["ProcessPlane", "WorkerForwarder"]
 
@@ -241,11 +239,9 @@ class _WorkerConfig:
     server_kwargs: dict
     threads: int
     window: int
-    mode: str  # "fds" | "reuseport"
     store_base: str | None
     run_base: str
     replicas: int
-    tcp_bind: tuple[str, int] | None  # reuseport mode only
 
 
 def _worker_main(cfg: _WorkerConfig, control: socket.socket) -> int:
@@ -291,16 +287,7 @@ def _worker_main(cfg: _WorkerConfig, control: socket.socket) -> int:
         server, f"unix:{cfg.internal_paths[cfg.index]}", threads=1
     )
     internal.start()
-    if cfg.mode == "reuseport":
-        front = EngineTransport(
-            server,
-            cfg.tcp_bind,
-            threads=cfg.threads,
-            window=cfg.window,
-            reuseport=True,
-        )
-    else:
-        front = EngineTransport(server, None, threads=cfg.threads, window=cfg.window)
+    front = EngineTransport(server, None, threads=cfg.threads, window=cfg.window)
     front.start()
     notify({"kind": "ready", "worker": cfg.index, "pid": os.getpid()})
 
@@ -410,11 +397,6 @@ class ProcessPlane:
         Without a store a killed worker's in-flight accounting cannot
         be recovered — the merged manifest's ``respawns`` counters say
         when that caveat applies.
-    mode:
-        ``"fds"`` (default): the router accepts and passes connection
-        fds to workers round-robin.  ``"reuseport"``: workers bind the
-        same TCP port with ``SO_REUSEPORT`` and the kernel balances
-        accepts (TCP only).
     max_respawns:
         Per-worker cap on automatic respawns — a worker that keeps
         dying is eventually left down (its fingerprints then fail fast
@@ -434,19 +416,13 @@ class ProcessPlane:
         threads: int = 1,
         window: int = DEFAULT_WINDOW,
         store: str | None = None,
-        mode: str = "fds",
         replicas: int = 64,
         max_respawns: int = 5,
     ) -> None:
         if processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
-        if mode not in ("fds", "reuseport"):
-            raise ValueError(f"mode must be 'fds' or 'reuseport', got {mode!r}")
         self.kind, self._addr = parse_address(listen)
-        if mode == "reuseport" and self.kind != "tcp":
-            raise ValueError("reuseport mode needs a TCP listen address")
         self.processes = int(processes)
-        self.mode = mode
         self.threads = max(1, int(threads))
         self.window = max(1, int(window))
         self.replicas = int(replicas)
@@ -464,7 +440,6 @@ class ProcessPlane:
         self._registrations: dict[str, object] = dict(registrations)
         self._workers = [_Worker(index=k) for k in range(self.processes)]
         self._listener: socket.socket | None = None
-        self._reserve: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._monitor_thread: threading.Thread | None = None
         self._stopping = threading.Event()
@@ -507,31 +482,7 @@ class ProcessPlane:
         from ..parallel import backends as _backends  # noqa: F401
         from ..parallel import ci_level as _ci_level  # noqa: F401
 
-        if self.mode == "reuseport":
-            host, port = self._addr
-            self._reserve = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._reserve.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._reserve.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            # Bound but never listening: holds the port reservation (so
-            # an ephemeral port 0 resolves once, here) while the kernel
-            # balances accepts over the workers' listening sockets only.
-            self._reserve.bind((host, port))
-            self.address = self._reserve.getsockname()[:2]
-        elif self.kind == "unix":
-            from .transport import _reclaim_stale_unix_socket
-
-            _reclaim_stale_unix_socket(self._addr)
-            self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._listener.bind(self._addr)
-            self._listener.listen(128)
-            self.address = self._addr
-        else:
-            host, port = self._addr
-            self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._listener.bind((host, port))
-            self._listener.listen(128)
-            self.address = self._listener.getsockname()[:2]
+        self._listener, self.address = bind_listener(self.kind, self._addr)
 
         for worker in self._workers:
             self._spawn(worker)
@@ -541,11 +492,10 @@ class ProcessPlane:
                 self.shutdown(drain=False)
                 raise RuntimeError(f"serve worker {worker.index} never became ready")
 
-        if self._listener is not None:
-            self._accept_thread = threading.Thread(
-                target=self._accept_loop, name="plane-router-accept", daemon=True
-            )
-            self._accept_thread.start()
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, name="plane-router-accept", daemon=True
+        )
+        self._accept_thread.start()
         self._monitor_thread = threading.Thread(
             target=self._monitor, name="plane-router-monitor", daemon=True
         )
@@ -563,11 +513,9 @@ class ProcessPlane:
             server_kwargs=dict(self._server_kwargs),
             threads=self.threads,
             window=self.window,
-            mode=self.mode,
             store_base=self.store_base,
             run_base=self.run_id,
             replicas=self.replicas,
-            tcp_bind=tuple(self.address) if self.mode == "reuseport" else None,
         )
 
     def _spawn(self, worker: _Worker) -> None:
@@ -583,7 +531,7 @@ class ProcessPlane:
         )
         # Snapshot before fork: fds the child must close so it cannot
         # keep the router's sockets alive past the router's exit.
-        inherited = [self._listener, self._reserve] + [
+        inherited = [self._listener] + [
             w.control for w in self._workers if w.control is not None
         ]
         pid = os.fork()
@@ -663,7 +611,7 @@ class ProcessPlane:
                 )
 
     def _accept_loop(self) -> None:
-        """fd mode: accept and hand each connection to a live worker."""
+        """Accept and hand each connection to a live worker."""
         try:
             self._listener.settimeout(0.2)
         except OSError:
@@ -816,7 +764,6 @@ class ProcessPlane:
             "run_id": self.run_id,
             "processes": self.processes,
             "router": {
-                "mode": self.mode,
                 "listen": self.describe(),
                 "n_connections": self.n_connections,
                 "n_respawns": self.n_respawns,
@@ -883,11 +830,6 @@ class ProcessPlane:
                 except OSError:
                     pass
 
-        if self._reserve is not None:
-            try:
-                self._reserve.close()
-            except OSError:
-                pass
         if self.kind == "unix":
             try:
                 os.unlink(self._addr)
@@ -943,6 +885,6 @@ class ProcessPlane:
             "started" if self._started else "new"
         )
         return (
-            f"ProcessPlane(processes={self.processes}, mode={self.mode}, "
+            f"ProcessPlane(processes={self.processes}, "
             f"{state}, respawns={self.n_respawns})"
         )

@@ -289,7 +289,8 @@ class EngineServer:
         run document, and its id re-creates a fresh session on next touch.
     default_dataset:
         Optional id to route requests that carry no ``dataset`` tag —
-        lets single-dataset ``fastbns batch`` streams run unchanged.
+        ``fastbns batch`` registers its one source under it, so untagged
+        single-dataset streams run unchanged.
     default_samples, default_seed, default_scale:
         Defaults applied to source specs that omit them — both the CLI's
         ``--register`` flags and in-stream ``register`` ops resolve

@@ -28,6 +28,9 @@ Design
 
 Exactness is inherited: the transport never inspects payloads, so
 responses are byte-identical to the same stream over stdin.
+
+:func:`bind_listener` is the one place a listen address becomes a
+listening socket; the process plane's router binds through it too.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from collections.abc import Iterator
 
 from .server import DEFAULT_WINDOW, EngineServer, ParseFailure
 
-__all__ = ["EngineTransport", "LineStream", "parse_address"]
+__all__ = ["EngineTransport", "LineStream", "bind_listener", "parse_address"]
 
 #: Completion-latency samples kept, per connection and per transport
 #: (most recent win).
@@ -123,6 +126,30 @@ def _reclaim_stale_unix_socket(path: str) -> None:
     raise OSError(f"unix socket {path} already has a live listener")
 
 
+def bind_listener(kind: str, addr, backlog: int = 128) -> tuple[socket.socket, object]:
+    """Bind and listen on a :func:`parse_address` result.
+
+    Returns ``(listener, address)``: a unix listener reports its path
+    (a stale socket file is reclaimed first); a TCP listener is bound
+    with ``SO_REUSEADDR`` and reports its resolved ``(host, port)``, so
+    port 0 reads back as the ephemeral port the kernel picked.
+    """
+    if kind == "unix":
+        _reclaim_stale_unix_socket(addr)
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    else:
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    try:
+        listener.bind(addr)
+        listener.listen(backlog)
+    except OSError:
+        listener.close()
+        raise
+    address = addr if kind == "unix" else listener.getsockname()[:2]
+    return listener, address
+
+
 class LineStream:
     """Drainable line framing over a socket.
 
@@ -132,7 +159,9 @@ class LineStream:
     between complete lines check the transport's draining event.  On
     drain the stream ends at the next line boundary (complete lines
     already received are still served; a partial trailing line is
-    dropped — it was never fully sent).
+    dropped — it was never fully sent).  The newline search resumes where
+    the previous one stopped, so a line split over many receives is
+    framed in time linear in its length.
     """
 
     POLL_S = 0.2
@@ -144,13 +173,16 @@ class LineStream:
         sock.settimeout(self.POLL_S)
 
     def lines(self) -> Iterator[str]:
+        searched = 0  # leading bytes of _buf known to hold no newline
         while True:
-            newline = self._buf.find(b"\n")
+            newline = self._buf.find(b"\n", searched)
             if newline >= 0:
                 line = self._buf[:newline].decode("utf-8", errors="replace")
                 del self._buf[: newline + 1]
+                searched = 0
                 yield line
                 continue
+            searched = len(self._buf)
             if self._draining.is_set():
                 return
             try:
@@ -290,10 +322,6 @@ class EngineTransport:
     threads / window:
         Per-connection dispatch parallelism and in-flight window,
         passed straight to :meth:`EngineServer.serve_iter`.
-    reuseport:
-        Bind a TCP listener with ``SO_REUSEPORT`` so several processes
-        can listen on one port and the kernel load-balances accepts —
-        the process plane's fallback when fd passing is not wanted.
     """
 
     def __init__(
@@ -304,36 +332,18 @@ class EngineTransport:
         threads: int = 1,
         window: int = DEFAULT_WINDOW,
         backlog: int = 128,
-        reuseport: bool = False,
     ) -> None:
         self.engine = engine
         self.threads = max(1, int(threads))
         self.window = max(1, int(window))
+        self._listener: socket.socket | None = None
+        self.address: object = None
         if listen is None:
             self.kind = "adopted"
-            self._listener = None
-            self._unix_path = None
-            self.address: object = None
         else:
             self.kind, addr = parse_address(listen)
-            if self.kind == "unix":
-                _reclaim_stale_unix_socket(addr)
-                self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                self._unix_path = addr
-                self._listener.bind(addr)
-                self.address = addr
-            else:
-                self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-                if reuseport:
-                    self._listener.setsockopt(
-                        socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
-                    )
-                self._unix_path = None
-                host, port = addr
-                self._listener.bind((host, port))
-                self.address = self._listener.getsockname()[:2]
-            self._listener.listen(backlog)
+            self._listener, self.address = bind_listener(self.kind, addr, backlog)
+        self._unix_path = self.address if self.kind == "unix" else None
         self._started = False
         self._lock = threading.Lock()
         self._connections: set[_Connection] = set()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import BATCH_DATASET, build_parser, main
 
 
 class TestParser:
@@ -410,6 +410,45 @@ class TestServeCommand:
         assert lines[2]["cached"]
         totals = json.loads(man.read_text())["totals"]
         assert totals["n_requests"] == 3 and totals["n_errors"] == 1
+
+    def test_batch_answers_like_single_dataset_serve(self, tmp_path, capsys):
+        """`batch --network X` is `serve --register a=network:X`: the same
+        answer on every line and the same manifest totals."""
+        import json
+
+        reqs = tmp_path / "reqs.jsonl"
+        reqs.write_text(
+            json.dumps({"op": "learn", "max_depth": 1}) + "\n"
+            + "{not json\n"
+            + json.dumps({"op": "learn", "gs": 0}) + "\n"
+            + json.dumps({"op": "learn", "max_depth": 1}) + "\n"
+            + json.dumps({"op": "blanket", "target": "alarm_3"}) + "\n"
+            + json.dumps({"op": "blanket", "target": 3, "algorithm": "grow-shrink"}) + "\n"
+        )
+        runs = {}
+        for command, source in (("batch", ["--network", "alarm"]),
+                                ("serve", ["--register", "a=network:alarm"])):
+            out, man = tmp_path / f"{command}.jsonl", tmp_path / f"{command}.json"
+            rc = main([command, *source, "--samples", "300", "--requests", str(reqs),
+                       "--out", str(out), "--manifest", str(man)])
+            assert rc == 0
+            lines = [json.loads(line) for line in out.read_text().splitlines()]
+            totals = json.loads(man.read_text())["totals"]
+            totals.pop("elapsed_s")
+            runs[command] = (lines, totals)
+        keys = ("op", "fingerprint", "cached", "result", "error")
+        (batch, batch_totals), (serve, serve_totals) = runs["batch"], runs["serve"]
+        assert len(batch) == len(serve) == 6
+        assert [{k: r[k] for k in keys} for r in batch] == [
+            {k: r[k] for k in keys} for r in serve
+        ]
+        assert [r["dataset"] for r in batch] == [BATCH_DATASET, None] + [BATCH_DATASET] * 4
+        assert "invalid JSON" in batch[1]["error"]
+        assert "gs must be >= 1" in batch[2]["error"]
+        assert batch[3]["cached"] and batch[4]["error"] is None
+        assert batch_totals == serve_totals
+        assert batch_totals["n_requests"] == 6 and batch_totals["n_errors"] == 2
+        assert "served 6 requests" in capsys.readouterr().err
 
     def test_batch_sigint_mid_stream_writes_manifest(self, tmp_path, capsys, monkeypatch):
         import io

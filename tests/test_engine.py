@@ -504,7 +504,7 @@ class TestBatchCLI:
         assert lines[0]["result"] == lines[1]["result"]
         doc = json.loads(man.read_text())
         assert doc["totals"]["n_result_cache_hits"] == 1
-        assert "result-cache hits" in capsys.readouterr().out
+        assert "result-cache hits" in capsys.readouterr().err
 
     def test_batch_requests_from_stdin(self, tmp_path, capsys, monkeypatch):
         """``--requests -`` reads the JSONL stream from stdin (pipes)."""
@@ -533,4 +533,4 @@ class TestBatchCLI:
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(lines) == 2
         assert [r["op"] for r in lines] == ["learn", "blanket"]
-        assert "served 2 requests" in capsys.readouterr().out
+        assert "served 2 requests" in capsys.readouterr().err

@@ -4,8 +4,8 @@ Covers the tentpole surface end to end: the consistent-hash placement
 layer (:class:`~repro.engine.routing.HashRing`), cross-worker request
 forwarding and admin broadcast, merged run manifests whose totals are
 the exact sum of the per-worker parts on mixed error/admin/alias
-streams, per-worker store shards with warm restarts, both router modes
-(fd passing and ``SO_REUSEPORT``), and payload equivalence of ``serve
+streams, per-worker store shards with warm restarts, the fd-passing
+router on a TCP listener, and payload equivalence of ``serve
 --processes 2`` against the in-process ``--threads`` dispatcher and a
 sequential oracle on the committed golden trace.
 
@@ -15,7 +15,6 @@ failure mode a broken drain or a lost fd produces *is* a hang.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 from pathlib import Path
@@ -357,23 +356,21 @@ class TestStoreShards:
 
 
 # --------------------------------------------------------------------- #
-# router modes
+# the router
 # --------------------------------------------------------------------- #
 class TestRouterModes:
-    @pytest.mark.parametrize("mode", ["fds", "reuseport"])
-    def test_modes_serve_identical_payloads(self, duo_datasets, mode):
-        with hard_timeout(PLANE_TIMEOUT_S, f"{mode} mode"):
+    def test_tcp_connections_share_sessions(self, duo_datasets):
+        with hard_timeout(PLANE_TIMEOUT_S, "tcp router"):
             plane = ProcessPlane(
                 "127.0.0.1:0",
                 processes=2,
-                mode=mode,
                 registrations=list(duo_datasets.items()),
                 **_plane_kwargs(),
             )
             plane.start()
-            # Separate connections: in reuseport mode the kernel may park
-            # them on different workers; fingerprint routing must make
-            # that invisible.
+            # Separate connections: the router hands them to different
+            # workers round-robin; fingerprint routing must make that
+            # invisible.
             r1 = _drive(plane.address, [
                 {"op": "blanket", "dataset": "a", "target": 0, "alpha": 0.05},
             ])[0]
@@ -387,19 +384,14 @@ class TestRouterModes:
         assert _strip_timing({k: r1[k] for k in ("result", "fingerprint")}) == (
             _strip_timing({k: r2[k] for k in ("result", "fingerprint")})
         )
-        assert merged["router"]["mode"] == mode
+        assert merged["router"]["n_connections"] == 2
         assert merged["totals"]["n_requests"] == 2
+        assert merged["totals"]["n_result_cache_hits"] == 1
         assert merged["totals"] == merge_totals(_worker_parts(merged))
 
-    def test_validation(self, tmp_path):
+    def test_validation(self):
         with pytest.raises(ValueError, match="processes"):
             ProcessPlane("127.0.0.1:0", processes=0)
-        with pytest.raises(ValueError, match="mode"):
-            ProcessPlane("127.0.0.1:0", processes=2, mode="smoke-signals")
-        with pytest.raises(ValueError, match="TCP"):
-            ProcessPlane(
-                f"unix:{tmp_path}/x.sock", processes=2, mode="reuseport"
-            )
 
     def test_double_start_raises(self, duo_datasets):
         with hard_timeout(PLANE_TIMEOUT_S, "double start"):

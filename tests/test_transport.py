@@ -4,9 +4,9 @@ Covers the ISSUE-5 transport surface: TCP and Unix-socket round trips
 speaking the exact ``fastbns serve`` JSONL protocol, per-connection
 response ordering under pipelining, concurrent-client equivalence with
 the in-process dispatcher, graceful drain (in-flight served, clean EOF,
-manifest accounting), and address parsing.  Every blocking call carries
-a timeout so a reintroduced deadlock fails fast instead of hanging the
-suite.
+manifest accounting), line framing, and address parsing.  Every
+blocking call carries a timeout so a reintroduced deadlock fails fast
+instead of hanging the suite.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import time
 import pytest
 from _timeouts import hard_timeout
 
-from repro.engine import EngineClient, EngineServer, EngineTransport
+from repro.engine import EngineClient, EngineServer, EngineTransport, LineStream
 from repro.engine.transport import parse_address
 
 TIMEOUT = 30.0
@@ -61,6 +61,63 @@ class TestParseAddress:
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_address(bad)
+
+
+class TestLineStream:
+    """Framing over a real socket pair; drain and EOF end the stream."""
+
+    @staticmethod
+    def _stream(draining=None):
+        import socket
+
+        reader, writer = socket.socketpair()
+        return LineStream(reader, draining or threading.Event()), reader, writer
+
+    def test_line_split_over_many_sends(self):
+        import socket
+
+        stream, reader, writer = self._stream()
+        line = b"x" * (1 << 20)
+
+        def feed():
+            for i in range(0, len(line), 4096):
+                writer.sendall(line[i:i + 4096])
+            writer.sendall(b"\ntail\n")
+            writer.shutdown(socket.SHUT_WR)
+
+        with hard_timeout(TIMEOUT, "split line"):
+            sender = threading.Thread(target=feed, daemon=True)
+            sender.start()
+            got = list(stream.lines())
+            sender.join()
+        reader.close()
+        writer.close()
+        assert got == [line.decode(), "tail"]
+
+    def test_several_lines_in_one_send(self):
+        import socket
+
+        stream, reader, writer = self._stream()
+        writer.sendall(b'a\n{"op": "stats"}\n\nccc\n')
+        writer.shutdown(socket.SHUT_WR)
+        with hard_timeout(TIMEOUT, "one send"):
+            got = list(stream.lines())
+        reader.close()
+        writer.close()
+        assert got == ["a", '{"op": "stats"}', "", "ccc"]
+
+    def test_partial_trailing_line_dropped_on_drain(self):
+        draining = threading.Event()
+        stream, reader, writer = self._stream(draining)
+        writer.sendall(b"one\ntwo\npart")
+        with hard_timeout(TIMEOUT, "drain"):
+            lines = stream.lines()
+            assert next(lines) == "one"
+            draining.set()
+            # Complete lines already received are still served.
+            assert list(lines) == ["two"]
+        reader.close()
+        writer.close()
 
 
 class TestRoundTrip:
