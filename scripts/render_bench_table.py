@@ -56,10 +56,11 @@ def _row_kernel_batching(doc: dict) -> tuple[str, str]:
 
 
 def _row_shared_memory(doc: dict) -> tuple[str, str]:
-    mem = doc.get("memory_ratio")
-    mem_txt = "n/a" if mem is None else f"{mem:.2f}× private memory/worker"
+    saved = doc.get("copies_saved_per_worker")
+    mem_txt = "n/a" if saved is None else f"{saved:.2f} dataset copies less private memory/worker"
     return (
-        f"shm plane vs pickled workers ({doc['network']}, n_jobs={doc['n_jobs']})",
+        f"shm plane vs pickled workers ({doc['network']}, n_jobs={doc['n_jobs']}, "
+        f"{doc['start_method']})",
         f"{mem_txt}, {_fmt(doc['start_speedup'])}× pool start",
     )
 

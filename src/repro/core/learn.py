@@ -47,8 +47,8 @@ def make_tester(
     serves repeated contingency tables from memory (the
     :class:`~repro.engine.session.LearningSession` path); ``encoded``
     optionally shares a :class:`~repro.datasets.encoded.EncodedDataset`
-    across testers so column/endpoint encodings are derived once per
-    dataset; ``arena`` optionally shares a
+    across testers so endpoint encodings are derived once per dataset;
+    ``arena`` optionally shares a
     :class:`~repro.citests.arena.KernelArena` so the fused group kernel's
     scratch buffers are reused across a tester family (one per worker
     process); ``batch_groups=False`` keeps the looped per-set reference
@@ -204,7 +204,7 @@ def learn_structure(
     else:
         # Baselines re-derive encodings per test and evaluate one set at
         # a time, like the reference implementations they stand in for:
-        # a memoizing encoding layer or the fused cross-edge kernel would
+        # an endpoint-pair memo or the fused cross-edge kernel would
         # erase part of the contrast under study.
         from ..datasets.encoded import EncodedDataset
 
@@ -213,7 +213,7 @@ def learn_structure(
             test,
             alpha=alpha,
             dof_adjust=dof_adjust,
-            encoded=EncodedDataset(dataset, memoize=False),
+            encoded=EncodedDataset(dataset, max_xy_entries=0),
             batch_groups=False,
         )
 

@@ -7,23 +7,25 @@ Layers, bottom-up (each documented in its module):
   cache-friendly layout; sample-major is the baseline regime the paper
   criticises — the contrast is itself an experiment);
 * :class:`EncodedDataset` (:mod:`.encoded`) — memoizes the derived
-  artefacts every CI test needs (int64-widened columns, endpoint-pair
-  codes) once per dataset, shared by testers, sessions and workers;
-* the **shared-memory dataset plane** (:mod:`.shm`) — publishes an
-  encoding layer into ``multiprocessing.shared_memory`` so process
-  workers attach zero-copy views instead of receiving pickled arrays;
+  artefacts the CI tests need (endpoint-pair codes, and a narrow column
+  matrix when the kernel cannot read the values in place) once per
+  dataset, shared by testers, sessions and worker threads;
+* the **shared-memory dataset plane** (:mod:`.shm`) — publishes a
+  dataset's own values (same dtype, same layout) into
+  ``multiprocessing.shared_memory`` so process workers attach zero-copy
+  views instead of receiving pickled arrays;
 * sampling (:mod:`.sampling`), CSV codecs (:mod:`.io`) and BIF network
   I/O (:mod:`.bif`).
 
 Shared-memory lifecycle in one paragraph: the *creator* calls
-:meth:`EncodedDataset.export_shm` and owns the returned
+:func:`~repro.datasets.shm.export_dataset` and owns the returned
 :class:`~repro.datasets.shm.ShmExport` — its picklable ``handle`` is all
 that crosses process boundaries, and its ``close()`` (tied to
 :meth:`WorkerPool.shutdown <repro.parallel.backends.WorkerPool.shutdown>`
 / :meth:`LearningSession.close <repro.engine.session.LearningSession.close>`,
-with a finalizer backstop) unlinks the blocks exactly once.  *Attachers*
-call :meth:`EncodedDataset.attach_shm` and only ever close their own
-mapping.  When the platform provides no usable shared memory
+with a finalizer backstop) unlinks the block exactly once.  *Attachers*
+call :func:`~repro.datasets.shm.attach_dataset` and only ever close their
+own mapping.  When the platform provides no usable shared memory
 (:func:`~repro.datasets.shm.shared_memory_available`), every caller falls
 back to pickled dataset shipping — bit-identical results, different
 memory/start-up cost.
@@ -34,7 +36,7 @@ from .dataset import DiscreteDataset, smallest_uint_dtype
 from .encoded import EncodedDataset
 from .io import CategoricalCodec, read_codes_csv, read_csv, train_test_split, write_csv
 from .sampling import forward_sample
-from .shm import ShmDatasetHandle, ShmExport, shared_memory_available
+from .shm import ShmExport, ShmRawHandle, shared_memory_available
 
 __all__ = [
     # containers & encodings
@@ -42,8 +44,8 @@ __all__ = [
     "EncodedDataset",
     "smallest_uint_dtype",
     # shared-memory dataset plane
-    "ShmDatasetHandle",
     "ShmExport",
+    "ShmRawHandle",
     "shared_memory_available",
     # sampling & I/O
     "forward_sample",

@@ -1,40 +1,34 @@
 """Zero-copy shared-memory dataset plane.
 
 The paper's OpenMP threads share one in-memory dataset for the whole
-parallel region.  The process-based :class:`~repro.parallel.backends.WorkerPool`
-originally re-created that dataset once *per worker* (pickled through the
-pool initializer under ``spawn``; copy-on-write-then-privately-widened
-under ``fork``), costing ``O(n_jobs x dataset)`` memory and a per-worker
-encoding pass before the first CI test.  This module publishes the encoded
-dataset once, into ``multiprocessing.shared_memory`` blocks, so every
-worker maps the *same* physical pages:
+parallel region.  Process workers cannot share an address space, so this
+module publishes the dataset's own values once, into a
+``multiprocessing.shared_memory`` block, and every worker maps the *same*
+physical pages.  The block keeps the dataset's dtype (the smallest
+unsigned type covering its arities, 1–2 bytes per value for the catalog
+networks) and its storage layout: a variable-major dataset attaches as the
+variable-major columns the fused kernel reads in place, and a sample-major
+baseline attaches sample-major and keeps its strided columns.
 
-* the **columns plane** — one ``(n_variables, n_samples)`` int64 block
-  holding every variable's widened column (the arrays
-  :meth:`~repro.datasets.encoded.EncodedDataset.col64` memoizes);
-* the optional **pair plane** — the endpoint cell codes
-  (:meth:`~repro.datasets.encoded.EncodedDataset.xy_codes`) memoized at
-  export time, packed into a second block so workers start with a warm
-  pair cache.
-
-What crosses the process boundary is a :class:`ShmDatasetHandle` — block
-names, shapes and arities, a few hundred bytes — instead of the arrays.
-Workers attach read-only views (:func:`attach_encoded`); no data is copied
-at attach and per-worker private memory stays flat no matter how large the
-dataset is.
+What crosses the process boundary is a :class:`ShmRawHandle` — block
+name, dtype, shape, layout, arities and names, a few hundred bytes —
+instead of the array.  Workers attach a read-only
+:class:`~repro.datasets.dataset.DiscreteDataset` over the block
+(:func:`attach_dataset`); no data is copied at attach.
 
 Lifecycle
 ---------
-:func:`export_encoded` returns a :class:`ShmExport` that owns the blocks.
+:func:`export_dataset` returns a :class:`ShmExport` that owns the block.
 Exactly one process — the creator — may :meth:`ShmExport.close` (which
 unlinks); attachers call :meth:`AttachedBlocks.close` (which never
-unlinks).  The :class:`~repro.parallel.backends.WorkerPool` ties the
-export to its own ``shutdown`` and a ``weakref.finalize`` guarantees the
-unlink even when the pool is garbage-collected after a worker crash, so an
-interrupted learning run cannot leak ``/dev/shm`` segments.  When shared
-memory is unavailable on the platform (:func:`shared_memory_available`),
-callers fall back to the classic pickled-dataset shipping transparently —
-results are bit-identical either way, only the memory/start-up cost moves.
+unlinks).  The worker pools tie the export to their own ``shutdown`` and
+a ``weakref.finalize`` guarantees the unlink even when a pool is
+garbage-collected after a worker crash, so an interrupted learning run
+cannot leak ``/dev/shm`` segments.  When shared memory is unavailable on
+the platform (:func:`shared_memory_available`), callers fall back to the
+classic pickled-dataset shipping transparently (:func:`try_export_dataset`)
+— results are bit-identical either way, only the memory/start-up cost
+moves.
 
 Attached segments are unregistered from the per-process
 ``resource_tracker`` (Python < 3.13 registers them on attach, which would
@@ -48,23 +42,15 @@ import os
 import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dataset import DiscreteDataset
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .encoded import EncodedDataset
-
 __all__ = [
-    "ShmDatasetHandle",
     "ShmRawHandle",
     "ShmExport",
     "AttachedBlocks",
-    "export_encoded",
-    "attach_encoded",
-    "try_export_encoded",
     "export_dataset",
     "attach_dataset",
     "try_export_dataset",
@@ -151,37 +137,13 @@ def _attach_block(name: str) -> shared_memory.SharedMemory:
 
 
 @dataclass(frozen=True)
-class ShmDatasetHandle:
-    """Picklable description of an exported dataset plane.
-
-    This is the *entire* payload a worker receives: block names + shapes +
-    arities/names, a few hundred bytes regardless of ``n_samples``.
-    """
-
-    columns_block: str
-    n_variables: int
-    n_samples: int
-    arities: tuple[int, ...]
-    names: tuple[str, ...]
-    pairs_block: str | None
-    pair_keys: tuple[tuple[int, int], ...]
-    max_xy_entries: int
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of shared payload the handle points at (not carries)."""
-        per_col = 8 * self.n_samples
-        return per_col * (self.n_variables + len(self.pair_keys))
-
-
-@dataclass(frozen=True)
 class ShmRawHandle:
-    """Picklable description of a raw-dtype dataset export.
+    """Picklable description of an exported dataset.
 
-    For consumers that only need the dataset's values — the sample-level
-    scheme's slice counters — the values block keeps the original
-    (smallest-sufficient) dtype, so the shared copy is never wider than
-    the private copies it replaces.
+    This is the *entire* payload a worker receives: block name, dtype,
+    shape, layout, arities and names, a few hundred bytes regardless of
+    ``n_samples``.  The block keeps the dataset's own dtype and layout, so
+    the shared copy is never wider than the private copies it replaces.
     """
 
     values_block: str
@@ -194,6 +156,7 @@ class ShmRawHandle:
 
     @property
     def nbytes(self) -> int:
+        """Bytes of shared payload the handle points at (not carries)."""
         return np.dtype(self.dtype).itemsize * self.n_variables * self.n_samples
 
 
@@ -206,7 +169,7 @@ class ShmExport:
     """
 
     def __init__(
-        self, handle: ShmDatasetHandle, blocks: list[shared_memory.SharedMemory]
+        self, handle: ShmRawHandle, blocks: list[shared_memory.SharedMemory]
     ) -> None:
         self.handle = handle
         self._blocks = blocks
@@ -232,22 +195,21 @@ class ShmExport:
         # live segments.  Only the handle may cross process boundaries.
         raise TypeError("ShmExport is process-local; ship ShmExport.handle instead")
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         state = "closed" if self.closed else f"{self.handle.nbytes} shared bytes"
-        return f"ShmExport({self.handle.columns_block!r}, {state})"
+        return f"ShmExport({self.handle.values_block!r}, {state})"
 
 
 class AttachedBlocks:
     """Attacher-side holder keeping the mapped blocks alive.
 
-    Arrays served by an attached :class:`EncodedDataset` are views into
-    these mappings, and ``SharedMemory.__del__`` *unmaps* them — numpy
-    holds only an object reference to the mmap, not a buffer export, so
-    garbage-collecting the blocks would pull physical pages out from
-    under live arrays.  The holder is therefore pinned both on the
-    encoding layer (``encoded.shm``) and on the attached dataset itself,
-    and must not be closed while any view is in use.  ``close()`` never
-    unlinks — that is the creator's job.
+    The values of an attached dataset are a view into these mappings, and
+    ``SharedMemory.__del__`` *unmaps* them — numpy holds only an object
+    reference to the mmap, not a buffer export, so garbage-collecting the
+    blocks would pull physical pages out from under live arrays.  The
+    holder is therefore pinned on the attached dataset itself, and must
+    not be closed while any view is in use.  ``close()`` never unlinks —
+    that is the creator's job.
     """
 
     def __init__(self, blocks: list[shared_memory.SharedMemory]) -> None:
@@ -283,55 +245,6 @@ def _close_blocks(blocks: list[shared_memory.SharedMemory], unlink: bool) -> Non
                 pass
 
 
-def export_encoded(encoded: "EncodedDataset") -> ShmExport:
-    """Publish ``encoded``'s int64 plane into shared memory.
-
-    Every column is widened (through the layer's own memoization, so an
-    already-warm layer exports without re-deriving anything) and copied
-    into the columns plane; currently-memoized endpoint-pair codes ride
-    along in the pair plane.  Raises ``OSError`` when the platform cannot
-    provide shared memory — callers treat that as "use the pickled path".
-    """
-    ds = encoded.dataset
-    n, m = ds.n_variables, ds.n_samples
-    n_pairs = len(encoded.memoized_pairs())
-    _check_capacity(8 * m * (n + n_pairs))
-    blocks: list[shared_memory.SharedMemory] = []
-    try:
-        col_block = shared_memory.SharedMemory(create=True, size=max(8 * n * m, 8))
-        blocks.append(col_block)
-        plane = np.ndarray((n, m), dtype=np.int64, buffer=col_block.buf)
-        for i in range(n):
-            plane[i] = encoded.col64(i)
-
-        pair_keys = tuple(encoded.memoized_pairs())
-        pairs_block_name = None
-        if pair_keys:
-            pair_block = shared_memory.SharedMemory(
-                create=True, size=max(8 * len(pair_keys) * m, 8)
-            )
-            blocks.append(pair_block)
-            pair_plane = np.ndarray((len(pair_keys), m), dtype=np.int64, buffer=pair_block.buf)
-            for k, (x, y) in enumerate(pair_keys):
-                pair_plane[k] = encoded.xy_codes(x, y)
-            pairs_block_name = pair_block.name
-    except BaseException:
-        _close_blocks(blocks, unlink=True)
-        raise
-
-    handle = ShmDatasetHandle(
-        columns_block=col_block.name,
-        n_variables=n,
-        n_samples=m,
-        arities=tuple(int(a) for a in ds.arities),
-        names=ds.names,
-        pairs_block=pairs_block_name,
-        pair_keys=pair_keys,
-        max_xy_entries=encoded.max_xy_entries,
-    )
-    return ShmExport(handle, blocks)
-
-
 def _apply_transport_policy(export_fn, use_shm: bool | None):
     """The one shm-vs-pickled transport policy, shared by every pool.
 
@@ -362,79 +275,19 @@ def _apply_transport_policy(export_fn, use_shm: bool | None):
         return None
 
 
-def try_export_encoded(encoded: "EncodedDataset", use_shm: bool | None = None):
-    """Transport policy (see :func:`_apply_transport_policy`) over the
-    full encoding-layer export."""
-    return _apply_transport_policy(encoded.export_shm, use_shm)
-
-
 def try_export_dataset(dataset: DiscreteDataset, use_shm: bool | None = None):
-    """Transport policy over the raw-dtype values export."""
+    """Transport policy (see :func:`_apply_transport_policy`) over
+    :func:`export_dataset`: the export, or ``None`` for pickled shipping."""
     return _apply_transport_policy(lambda: export_dataset(dataset), use_shm)
 
 
-def attach_encoded(handle: ShmDatasetHandle) -> "EncodedDataset":
-    """Map an exported plane and wrap it as a ready-to-serve layer.
-
-    Zero-copy: the returned :class:`EncodedDataset` (and its
-    ``DiscreteDataset``, whose values *are* the shared plane) serve
-    read-only views into the mapped blocks.  The holder keeping the
-    mappings alive is reachable as ``encoded.shm`` — drop every view
-    before closing it.
-    """
-    from .encoded import EncodedDataset
-
-    blocks: list[shared_memory.SharedMemory] = []
-    try:
-        col_block = _attach_block(handle.columns_block)
-        blocks.append(col_block)
-        plane = np.ndarray(
-            (handle.n_variables, handle.n_samples), dtype=np.int64, buffer=col_block.buf
-        )
-        plane.setflags(write=False)
-        # Trusted path: the handle can only come from export_encoded over
-        # an already-validated dataset, and __post_init__'s bounds scan
-        # would re-read the whole plane in every attaching worker.
-        dataset = DiscreteDataset._from_validated(
-            plane,
-            np.asarray(handle.arities, dtype=np.int64),
-            "variable-major",
-            handle.names,
-        )
-        encoded = EncodedDataset(dataset, max_xy_entries=handle.max_xy_entries)
-        for i in range(handle.n_variables):
-            encoded._col64[i] = plane[i]
-        if handle.pairs_block is not None:
-            pair_block = _attach_block(handle.pairs_block)
-            blocks.append(pair_block)
-            pair_plane = np.ndarray(
-                (len(handle.pair_keys), handle.n_samples),
-                dtype=np.int64,
-                buffer=pair_block.buf,
-            )
-            pair_plane.setflags(write=False)
-            for k, key in enumerate(handle.pair_keys):
-                if len(encoded._xy) < handle.max_xy_entries:
-                    encoded._xy[tuple(key)] = pair_plane[k]
-    except BaseException:
-        _close_blocks(blocks, unlink=False)
-        raise
-    holder = AttachedBlocks(blocks)
-    encoded.shm = holder
-    # Pin the holder on the (frozen) dataset too: anything keeping the
-    # dataset alive — a tester, a module-global in a worker — then keeps
-    # the mapping alive, even if the encoding layer itself is dropped.
-    object.__setattr__(dataset, "_shm_holder", holder)
-    return encoded
-
-
 def export_dataset(dataset: DiscreteDataset) -> ShmExport:
-    """Publish a dataset's raw values (original dtype) into shared memory.
+    """Publish a dataset's values (own dtype and layout) into shared memory.
 
-    The lean sibling of :func:`export_encoded` for consumers that never
-    touch the encoding layer (the sample-level scheme): no int64 widening,
-    so the shared copy is exactly as large as one private copy.  Same
-    ownership contract (:class:`ShmExport`, creator-only unlink).
+    The shared copy is exactly as large as one private copy.  Raises
+    ``OSError`` when the platform cannot provide the memory — callers
+    treat that as "use the pickled path" (:func:`try_export_dataset`).
+    The returned :class:`ShmExport` owns the block (creator-only unlink).
     """
     values = np.ascontiguousarray(dataset.values)
     _check_capacity(values.nbytes)
@@ -457,11 +310,12 @@ def export_dataset(dataset: DiscreteDataset) -> ShmExport:
 
 
 def attach_dataset(handle: ShmRawHandle) -> DiscreteDataset:
-    """Map a raw export as a read-only :class:`DiscreteDataset`.
+    """Map an export as a read-only :class:`DiscreteDataset`, zero-copy.
 
-    The attached blocks holder is pinned on the dataset (as in
-    :func:`attach_encoded`); keeping the dataset alive keeps the mapping
-    alive.
+    The dataset's values *are* the shared block, in the exporter's dtype
+    and layout.  The :class:`AttachedBlocks` holder is pinned on the
+    dataset, so anything keeping the dataset alive — a tester, a
+    module-global in a worker — keeps the mapping alive.
     """
     block = _attach_block(handle.values_block)
     try:
@@ -472,6 +326,9 @@ def attach_dataset(handle: ShmRawHandle) -> DiscreteDataset:
         )
         values = np.ndarray(shape, dtype=np.dtype(handle.dtype), buffer=block.buf)
         values.setflags(write=False)
+        # Trusted path: the handle can only come from export_dataset over
+        # an already-validated dataset, and __post_init__'s bounds scan
+        # would re-read the whole block in every attaching worker.
         dataset = DiscreteDataset._from_validated(
             values,
             np.asarray(handle.arities, dtype=np.int64),

@@ -12,12 +12,12 @@ into a long-lived service object.  It owns, for exactly one dataset:
 * a long-lived :class:`~repro.parallel.backends.WorkerPool` (when
   ``n_jobs > 1``) whose per-process caches likewise persist across calls —
   the seed code paid a fresh pool spawn per ``learn_structure`` call.
-  Workers receive the session's encoding layer through the zero-copy
+  Workers attach the session's dataset through the zero-copy
   shared-memory plane (:mod:`repro.datasets.shm`) when the platform
   provides it, so session memory stays ``O(dataset)`` rather than
-  ``O(n_jobs x dataset)``; the exported blocks live exactly as long as
+  ``O(n_jobs x dataset)``; the exported block lives exactly as long as
   the pool — ``close()`` (and therefore ``with``-statement exit) unlinks
-  them, with a finalizer backstop for crashed runs.
+  it, with a finalizer backstop for crashed runs.
 
 Successive calls are exact: cached tables are byte-identical to freshly
 built ones (shared construction code), and the CI-level scheduler's output
@@ -146,9 +146,8 @@ class LearningSession:
             # spill tier is namespaced by it.
             spill = self.store.spill_tier(self.fingerprint)
         self.cache = SufficientStatsCache(max_bytes=cache_bytes, spill=spill)
-        # One encoding layer shared by every tester the session hands out
-        # (and shipped to workers at pool start): columns are widened and
-        # endpoint pairs encoded once per dataset, not once per tester.
+        # One encoding layer shared by every tester the session hands out:
+        # endpoint pairs are encoded once per dataset, not once per tester.
         self.encoded = EncodedDataset(self.dataset)
         self._testers: dict[tuple[str, float, str], ConditionalIndependenceTest] = {}
         self._pool = None
@@ -267,7 +266,6 @@ class LearningSession:
                 alpha=self.alpha,
                 dof_adjust=self.dof_adjust,
                 cache_bytes=self.cache_bytes,
-                encoded=self.encoded,
                 use_shm=self.use_shm,
                 arena_hint=hint,
             )

@@ -61,9 +61,10 @@ def run_parallel_skeleton(
 
     ``tester`` is only consulted for configuration defaults (workers build
     their own testers); pass the same ``test``/``alpha``/``dof_adjust`` the
-    sequential run would use.  ``memoize_encodings=False`` makes every
-    worker re-derive encodings per test — the baseline regime (mirrors the
-    sequential baselines in :func:`repro.core.learn.learn_structure`).
+    sequential run would use.  ``memoize_encodings=False`` turns off every
+    worker's endpoint-pair memo, so workers re-derive encodings per test —
+    the baseline regime (mirrors the sequential baselines in
+    :func:`repro.core.learn.learn_structure`).
     ``gs`` accepts a fixed size, ``"auto"`` or a scheduler (CI-level only);
     ``use_shm`` is forwarded to the :class:`WorkerPool` dataset transport.
     """

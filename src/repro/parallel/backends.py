@@ -9,17 +9,18 @@ process boundary.
 
 Workers receive their dataset through the **zero-copy shared-memory
 plane** (:mod:`repro.datasets.shm`) whenever possible: the pool exports
-the encoding layer's int64 columns (and memoized pair codes) into
-``multiprocessing.shared_memory`` blocks and ships only block names +
-shapes; every worker attaches read-only views of the same physical pages,
-so per-worker private memory stays flat in the dataset size and pool
-start-up skips the per-worker pickling/widening pass.  When shared memory
-is unavailable (or ``use_shm=False``, or the baseline non-memoizing
-regime), the pool falls back to the classic pickled-dataset shipping —
-bit-identical results, only the memory/start-up cost differs.  The blocks
-are unlinked at :meth:`WorkerPool.shutdown` (which
-``LearningSession.__exit__`` triggers) with a finalizer backstop, so
-crashes cannot leak ``/dev/shm`` segments.
+the dataset's own values — same dtype, same layout — into one
+``multiprocessing.shared_memory`` block and ships only its name and
+shape; every worker attaches a read-only dataset over the same physical
+pages and builds its tester over it.  For variable-major ``uint8`` /
+``uint16`` data the fused kernel then reads the shared block itself
+(``ContingencyTableTest._columns``), so per-worker private memory stays
+flat in the dataset size under both ``fork`` and ``spawn``.  When shared
+memory is unavailable (or ``use_shm=False``) the pool falls back to
+shipping the dataset pickled (inherited under ``fork``) — bit-identical
+results, only the memory/start-up cost differs.  The block is unlinked at
+:meth:`WorkerPool.shutdown` (which ``LearningSession.__exit__`` triggers)
+with a finalizer backstop, so crashes cannot leak ``/dev/shm`` segments.
 
 When ``cache_bytes`` is set, every worker additionally keeps a per-process
 :class:`~repro.engine.statscache.SufficientStatsCache`.  A pool owned by a
@@ -44,6 +45,8 @@ from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from functools import partial
 from collections.abc import Sequence
 
+import numpy as np
+
 from ..citests.base import ConditionalIndependenceTest, evaluate_groups
 from ..datasets.dataset import DiscreteDataset
 
@@ -62,62 +65,67 @@ EdgeJob = tuple[int, int, tuple[int, ...], tuple[int, ...], int]
 # (u, v, side1, side2, depth) -> (n_tests_executed, accepting set | None)
 
 
-def _init_worker(
-    dataset: DiscreteDataset | None,
+def _new_arena(arena_hint: dict | None):
+    """A worker's kernel scratch pool, prewarmed for ``arena_hint``."""
+    from ..citests.arena import KernelArena
+
+    arena = KernelArena()
+    if arena_hint:
+        arena.prewarm(arena_hint)
+    return arena
+
+
+def _make_worker_tester(
+    dataset: DiscreteDataset,
+    encoded,
+    arena,
     test: str,
     alpha: float,
     dof_adjust: str,
-    cache_bytes: int | None = None,
-    encoded=None,
-    memoize_encodings: bool = True,
-    shm_handle=None,
-    arena_hint: dict | None = None,
-) -> None:
-    global _WORKER_TESTER, _WORKER_ARENA
-    from ..citests.arena import KernelArena
+    cache_bytes: int | None,
+) -> ConditionalIndependenceTest:
+    """One worker's tester, with its own stats cache when ``cache_bytes``
+    is set; ``encoded`` may be shared, ``arena`` may not."""
     from ..core.learn import make_tester
-    from ..datasets.encoded import EncodedDataset
 
-    # The encoding layer arrives once per worker at pool start.  Preferred
-    # transport is the shared-memory plane: ``shm_handle`` names the
-    # exported blocks and the attach is zero-copy (module docstring).
-    # Otherwise the layer (or the bare dataset) was pickled in; baseline
-    # pools pass memoize_encodings=False so workers re-derive encodings
-    # per test, like their sequential counterparts.
-    if shm_handle is not None:
-        encoded = EncodedDataset.attach_shm(shm_handle)
-        dataset = encoded.dataset
-    elif encoded is not None:
-        dataset = encoded.dataset
-    else:
-        encoded = EncodedDataset(dataset, memoize=memoize_encodings)
     stats_cache = None
     if cache_bytes is not None:
         from ..engine.statscache import SufficientStatsCache
 
         stats_cache = SufficientStatsCache(max_bytes=cache_bytes)
-    _WORKER_ARENA = KernelArena()
-    if arena_hint:
-        _WORKER_ARENA.prewarm(arena_hint)
-    _WORKER_TESTER = make_tester(
+    return make_tester(
         dataset, test, alpha=alpha, dof_adjust=dof_adjust, stats_cache=stats_cache,
-        encoded=encoded, arena=_WORKER_ARENA,
+        encoded=encoded, arena=arena,
     )
 
 
-def _eval_group(job: GroupJob, alpha: float | None = None) -> list[bool]:
-    """CI-level work unit: evaluate a group of conditioning sets for one
-    edge; returns one verdict per set.
+def _init_worker(
+    source,
+    test: str,
+    alpha: float,
+    dof_adjust: str,
+    cache_bytes: int | None,
+    max_xy_entries: int,
+    arena_hint: dict | None,
+) -> None:
+    """Process-worker initializer.  ``source`` is the pickled (or, under
+    ``fork``, inherited) dataset, or the handle of its shared-memory
+    export, attached zero-copy here (module docstring)."""
+    global _WORKER_TESTER, _WORKER_ARENA
+    from ..datasets.encoded import EncodedDataset
+    from ..datasets.shm import ShmRawHandle, attach_dataset
 
-    ``alpha`` overrides the worker tester's significance level for this
-    job (exact: the p-value is alpha-free, only the threshold moves).
-    """
-    assert _WORKER_TESTER is not None, "worker not initialised"
-    u, v, sets = job
-    results = _WORKER_TESTER.test_group(u, v, list(sets))
-    if alpha is not None and alpha != _WORKER_TESTER.alpha:
-        return [r.p_value > alpha for r in results]
-    return [r.independent for r in results]
+    dataset = attach_dataset(source) if isinstance(source, ShmRawHandle) else source
+    _WORKER_ARENA = _new_arena(arena_hint)
+    _WORKER_TESTER = _make_worker_tester(
+        dataset,
+        EncodedDataset(dataset, max_xy_entries=max_xy_entries),
+        _WORKER_ARENA,
+        test,
+        alpha,
+        dof_adjust,
+        cache_bytes,
+    )
 
 
 def _verdicts(tester, jobs: Sequence[GroupJob], alpha: float | None) -> list[list[bool]]:
@@ -152,8 +160,6 @@ def _worker_cache_stats() -> dict | None:
     builder = getattr(_WORKER_TESTER, "_builder", None)
     if builder is None:
         return None
-    import os
-
     out = builder.cache.stats().as_dict()
     out["worker_pid"] = os.getpid()
     return out
@@ -179,28 +185,28 @@ def _read_private_kb() -> int | None:
 
 
 def _worker_warm() -> dict:
-    """Touch every widened column and report this worker's footprint.
+    """Touch the column matrix the kernel reads and report this worker's
+    footprint.
 
-    Forces the encoding layer fully resident (a shm attacher faults in the
-    shared plane; a pickled-path worker materialises its private widened
-    copies), so post-warm footprints compare like for like.
+    Faults the kernel's columns fully in (a shm attacher maps the shared
+    block; a pickled-path worker its private copy), so post-warm
+    footprints compare like for like.  ``reads_shared_block`` says
+    whether those columns are the attached shared-memory block itself.
     """
     assert _WORKER_TESTER is not None, "worker not initialised"
-    encoded = _WORKER_TESTER.encoded
-    checksum = 0
-    for i in range(encoded.dataset.n_variables):
-        checksum += int(encoded.col64(i).sum())
+    dataset = _WORKER_TESTER.dataset
+    cols = _WORKER_TESTER._columns()
+    attached = getattr(dataset, "_shm_holder", None) is not None
     return {
         "worker_pid": os.getpid(),
         "private_kb": _read_private_kb(),
-        "encoded_nbytes": encoded.stats()["nbytes"],
-        "checksum": checksum,
+        "checksum": int(cols.sum(dtype=np.int64)),
+        "reads_shared_block": attached and np.shares_memory(cols, dataset.values),
     }
 
 
-def _eval_edge(job: EdgeJob) -> tuple[int, tuple[int, ...] | None]:
+def _eval_edge_on(tester, job: EdgeJob) -> tuple[int, tuple[int, ...] | None]:
     """Edge-level work unit: process one edge task to completion."""
-    assert _WORKER_TESTER is not None, "worker not initialised"
     from ..core.edges import EdgeTask
 
     u, v, side1, side2, depth = job
@@ -210,10 +216,15 @@ def _eval_edge(job: EdgeJob) -> tuple[int, tuple[int, ...] | None]:
         sets = task.next_group(1)
         task.advance(1)
         executed += 1
-        res = _WORKER_TESTER.test(u, v, sets[0])
+        res = tester.test(u, v, sets[0])
         if res.independent:
             return executed, res.s
     return executed, None
+
+
+def _eval_edge(job: EdgeJob) -> tuple[int, tuple[int, ...] | None]:
+    assert _WORKER_TESTER is not None, "worker not initialised"
+    return _eval_edge_on(_WORKER_TESTER, job)
 
 
 class WorkerPool:
@@ -222,23 +233,22 @@ class WorkerPool:
     ``process`` backend: module-level worker functions with per-process
     testers (zero shared state).  ``thread`` backend: closures over
     thread-local testers built lazily per worker thread (the dataset arrays
-    are shared read-only, as OpenMP threads would share them).
+    and one encoding layer are shared read-only, as OpenMP threads would
+    share them).
 
     ``cache_bytes`` gives each worker a byte-budgeted sufficient-statistics
     cache (see module docstring); ``None`` keeps the seed behaviour.
-    ``encoded`` optionally provides a (possibly pre-warmed)
-    :class:`~repro.datasets.encoded.EncodedDataset` whose plane is exported
-    (or, on fallback, pickled) to every worker at pool start, so all jobs
-    of a worker share one encoding layer; without it, the pool builds a
-    fresh layer over the dataset.
+    ``memoize_encodings=False`` turns off every worker's endpoint-pair
+    memo — the baseline regime, which re-derives encodings per test like
+    its sequential counterpart.
 
     ``use_shm`` controls the zero-copy plane: ``None`` (default) uses it
-    whenever the backend is ``process``, encodings are memoized and the
-    platform provides working shared memory; ``True`` requires it (errors
-    surface instead of falling back); ``False`` forces the pickled path.
-    ``start_method`` picks the multiprocessing context (``"fork"`` where
-    available, else ``"spawn"``, by default) — the shm plane makes the two
-    equivalent in what workers receive.
+    whenever the backend is ``process`` and the platform provides working
+    shared memory; ``True`` requires it (errors surface instead of
+    falling back); ``False`` forces the pickled path.  ``start_method``
+    picks the multiprocessing context (``"fork"`` where available, else
+    ``"spawn"``, by default) — the shm plane makes the two equivalent in
+    what workers receive.
     """
 
     def __init__(
@@ -250,7 +260,6 @@ class WorkerPool:
         alpha: float = 0.05,
         dof_adjust: str = "structural",
         cache_bytes: int | None = None,
-        encoded=None,
         memoize_encodings: bool = True,
         use_shm: bool | None = None,
         start_method: str | None = None,
@@ -260,15 +269,10 @@ class WorkerPool:
             raise ValueError("n_jobs must be >= 1")
         if backend not in ("process", "thread"):
             raise ValueError("backend must be 'process' or 'thread'")
-        if encoded is not None and encoded.dataset is not dataset:
-            raise ValueError("encoded layer must wrap the pool's dataset")
         if use_shm and backend == "thread":
             raise ValueError("thread workers already share memory; use_shm applies to processes")
-        if use_shm and not memoize_encodings:
-            raise ValueError(
-                "the shm plane ships a fully memoized encoding layer; it cannot "
-                "serve the non-memoizing baseline regime"
-            )
+        from ..datasets.encoded import DEFAULT_MAX_XY_ENTRIES, EncodedDataset
+
         self.n_jobs = n_jobs
         self.backend = backend
         self.alpha = float(alpha)
@@ -276,7 +280,10 @@ class WorkerPool:
         self.arities = tuple(int(dataset.arity(i)) for i in range(dataset.n_variables))
         self._shm_export = None
         self._executor: Executor
+        max_xy_entries = DEFAULT_MAX_XY_ENTRIES if memoize_encodings else 0
         if backend == "process":
+            from ..datasets.shm import try_export_dataset
+
             if start_method is not None:
                 ctx = multiprocessing.get_context(start_method)
             else:
@@ -284,111 +291,40 @@ class WorkerPool:
                     ctx = multiprocessing.get_context("fork")
                 except ValueError:  # pragma: no cover - non-POSIX platforms
                     ctx = multiprocessing.get_context("spawn")
-            # Dataset transport, in order of preference: shared-memory
-            # plane (block names only), pickled encoding layer, pickled
-            # bare dataset.  Each ships the data exactly once per worker.
-            if memoize_encodings and use_shm is not False:
-                from ..datasets.encoded import EncodedDataset
-                from ..datasets.shm import try_export_encoded
-
-                export_source = encoded if encoded is not None else EncodedDataset(dataset)
-                self._shm_export = try_export_encoded(export_source, use_shm)
-            if self._shm_export is not None:
-                initargs = (
-                    None, test, alpha, dof_adjust, cache_bytes, None, True,
-                    self._shm_export.handle, arena_hint,
-                )
-            elif encoded is not None:
-                initargs = (
-                    None, test, alpha, dof_adjust, cache_bytes, encoded, True, None,
-                    arena_hint,
-                )
-            else:
-                initargs = (
-                    dataset, test, alpha, dof_adjust, cache_bytes, None,
-                    memoize_encodings, None, arena_hint,
-                )
+            # Dataset transport: the shared-memory block's handle when the
+            # export succeeds, else the dataset itself (pickled, or
+            # inherited under fork).  Each ships the data once per worker.
+            self._shm_export = try_export_dataset(dataset, use_shm)
+            source = dataset if self._shm_export is None else self._shm_export.handle
             self._executor = ProcessPoolExecutor(
                 max_workers=n_jobs,
                 mp_context=ctx,
                 initializer=_init_worker,
-                initargs=initargs,
+                initargs=(
+                    source, test, alpha, dof_adjust, cache_bytes, max_xy_entries, arena_hint,
+                ),
             )
+            self._eval_group_chunk_fn = _eval_group_chunk
+            self._eval_edge_fn = _eval_edge
         else:
             import threading
 
-            from ..datasets.encoded import EncodedDataset
-
             local = threading.local()
-            # Thread workers share the dataset arrays read-only (as OpenMP
-            # threads would); they share one encoding layer the same way.
-            shared_encoded = (
-                encoded
-                if encoded is not None
-                else EncodedDataset(dataset, memoize=memoize_encodings)
-            )
+            shared_encoded = EncodedDataset(dataset, max_xy_entries=max_xy_entries)
 
             def tester() -> ConditionalIndependenceTest:
                 if not hasattr(local, "tester"):
-                    from ..citests.arena import KernelArena
-                    from ..core.learn import make_tester
-
-                    stats_cache = None
-                    if cache_bytes is not None:
-                        from ..engine.statscache import SufficientStatsCache
-
-                        stats_cache = SufficientStatsCache(max_bytes=cache_bytes)
                     # One arena per worker thread: arenas recycle buffers
                     # and are not safe to share across concurrent kernels.
-                    arena = KernelArena()
-                    if arena_hint:
-                        arena.prewarm(arena_hint)
-                    local.tester = make_tester(
-                        dataset,
-                        test,
-                        alpha=alpha,
-                        dof_adjust=dof_adjust,
-                        stats_cache=stats_cache,
-                        encoded=shared_encoded,
-                        arena=arena,
+                    local.tester = _make_worker_tester(
+                        dataset, shared_encoded, _new_arena(arena_hint), test, alpha,
+                        dof_adjust, cache_bytes,
                     )
                 return local.tester
 
-            def eval_group_local(job: GroupJob, alpha: float | None = None) -> list[bool]:
-                u, v, sets = job
-                results = tester().test_group(u, v, list(sets))
-                if alpha is not None and alpha != tester().alpha:
-                    return [r.p_value > alpha for r in results]
-                return [r.independent for r in results]
-
-            def eval_group_chunk_local(
-                jobs: Sequence[GroupJob], alpha: float | None = None
-            ) -> list[list[bool]]:
-                return _verdicts(tester(), jobs, alpha)
-
-            def eval_edge_local(job: EdgeJob) -> tuple[int, tuple[int, ...] | None]:
-                from ..core.edges import EdgeTask
-
-                u, v, side1, side2, depth = job
-                task = EdgeTask(u, v, side1, side2, depth)
-                executed = 0
-                while not task.done:
-                    sets = task.next_group(1)
-                    task.advance(1)
-                    executed += 1
-                    res = tester().test(u, v, sets[0])
-                    if res.independent:
-                        return executed, res.s
-                return executed, None
-
             self._executor = ThreadPoolExecutor(max_workers=n_jobs)
-            self._eval_group_fn = eval_group_local
-            self._eval_group_chunk_fn = eval_group_chunk_local
-            self._eval_edge_fn = eval_edge_local
-        if backend == "process":
-            self._eval_group_fn = _eval_group
-            self._eval_group_chunk_fn = _eval_group_chunk
-            self._eval_edge_fn = _eval_edge
+            self._eval_group_chunk_fn = lambda jobs, alpha=None: _verdicts(tester(), jobs, alpha)
+            self._eval_edge_fn = lambda job: _eval_edge_on(tester(), job)
 
     def eval_groups(
         self, jobs: Sequence[GroupJob], alpha: float | None = None
@@ -470,9 +406,9 @@ class WorkerPool:
     def warm_up(self) -> list[dict]:
         """Force worker start-up and report per-worker memory footprints.
 
-        Every responding worker touches its full encoding layer and
-        reports ``{worker_pid, private_kb, encoded_nbytes, checksum}``
-        (``private_kb`` is ``None`` off Linux).  Deduplicated by PID like
+        Every responding worker touches the column matrix its kernel
+        reads and reports ``{worker_pid, private_kb, checksum,
+        reads_shared_block}`` (``private_kb`` is ``None`` off Linux).  Deduplicated by PID like
         :meth:`cache_stats`; process backend only (thread workers share
         this process's footprint).
         """

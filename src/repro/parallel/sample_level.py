@@ -12,11 +12,10 @@ thousands of tiny parallel regions.
 
 Thread workers share the dataset arrays; process workers attach the
 zero-copy shared-memory plane (:mod:`repro.datasets.shm`) when the
-dataset is variable-major and the platform provides it, and otherwise
-receive the dataset once at pool creation (no per-test data shipping —
-only the partial tables return).  Sample-major runs keep the pickled path
-on purpose: an attached plane is always variable-major, which would erase
-the storage-layout contrast those baselines exist to measure.
+platform provides it, and otherwise receive the dataset once at pool
+creation (no per-test data shipping — only the partial tables return).
+The plane keeps the dataset's layout, so a sample-major baseline's
+workers still slice strided columns.
 """
 
 from __future__ import annotations
@@ -43,13 +42,12 @@ __all__ = ["sample_level_skeleton", "parallel_contingency"]
 _SAMPLE_DATASET: DiscreteDataset | None = None
 
 
-def _init_sample_worker(dataset: DiscreteDataset | None, shm_handle=None) -> None:
+def _init_sample_worker(source) -> None:
+    """``source`` is the dataset itself or its shared-memory handle."""
     global _SAMPLE_DATASET
-    if shm_handle is not None:
-        from ..datasets.shm import attach_dataset
+    from ..datasets.shm import ShmRawHandle, attach_dataset
 
-        dataset = attach_dataset(shm_handle)
-    _SAMPLE_DATASET = dataset
+    _SAMPLE_DATASET = attach_dataset(source) if isinstance(source, ShmRawHandle) else source
 
 
 def _partial_counts(job: tuple[int, int, tuple[int, ...], int, int, int]) -> np.ndarray:
@@ -125,9 +123,9 @@ def sample_level_skeleton(
     """Run the skeleton phase with sample-level parallelism (G^2 test).
 
     ``use_shm`` follows the :class:`~repro.parallel.backends.WorkerPool`
-    contract: ``None`` auto-detects (process backend, variable-major
-    layout, working shared memory), ``True`` requires the plane, ``False``
-    forces the pickled path.
+    contract: ``None`` auto-detects (process backend, working shared
+    memory), ``True`` requires the plane, ``False`` forces the pickled
+    path.
     """
     if recorder is not None:
         raise ValueError("trace recording is not supported by the sample-level backend")
@@ -135,11 +133,6 @@ def sample_level_skeleton(
         raise ValueError("n_nodes must equal the dataset's variable count")
     if use_shm and backend != "process":
         raise ValueError("thread workers already share memory; use_shm applies to processes")
-    if use_shm and dataset.layout != "variable-major":
-        raise ValueError(
-            "the shm plane is variable-major; it cannot serve a sample-major "
-            "baseline without erasing the storage-layout contrast"
-        )
     from ..citests.gsquare import GSquareTest
 
     fallback = GSquareTest(dataset, alpha=alpha, dof_adjust=dof_adjust)
@@ -153,22 +146,14 @@ def sample_level_skeleton(
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover
             ctx = multiprocessing.get_context("spawn")
-        initargs: tuple = (dataset, None)
-        if dataset.layout == "variable-major":
-            # Raw-dtype zero-copy block for the Fast-BNS layout (workers
-            # here only read values — no encoding layer, so no int64
-            # widening); sample-major runs keep the pickled path (module
-            # docstring).
-            from ..datasets.shm import try_export_dataset
+        from ..datasets.shm import try_export_dataset
 
-            shm_export = try_export_dataset(dataset, use_shm)
-            if shm_export is not None:
-                initargs = (None, shm_export.handle)
+        shm_export = try_export_dataset(dataset, use_shm)
         executor: Executor = ProcessPoolExecutor(
             max_workers=n_jobs,
             mp_context=ctx,
             initializer=_init_sample_worker,
-            initargs=initargs,
+            initargs=(dataset if shm_export is None else shm_export.handle,),
         )
         use_process = True
     elif backend == "thread":

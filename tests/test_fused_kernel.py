@@ -352,7 +352,7 @@ class TestMultiGroupFusion:
         first = [r for res in t.test_groups(groups) for r in res]
         # Variable-major uint8 data is read in place: nothing was derived.
         assert t._columns() is ds.values
-        assert t.encoded.stats() == {"n_col64": 0, "n_xy": 0, "nbytes": 0}
+        assert t.encoded.stats() == {"n_xy": 0, "nbytes": 0}
         second = [r for res in t.test_groups(groups) for r in res]
         _assert_identical(first, second)
 

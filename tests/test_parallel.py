@@ -3,10 +3,13 @@ the sequential result exactly."""
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.core.learn import learn_structure
 from repro.core.trace import TraceRecorder
+from repro.datasets.shm import shared_memory_available
 from repro.parallel import WorkerPool, run_parallel_skeleton
 from repro.parallel.sample_level import sample_level_skeleton
 
@@ -112,3 +115,61 @@ class TestSampleLevelInternals:
     def test_run_parallel_skeleton_dispatch_error(self, asia_data_module):
         with pytest.raises(ValueError):
             run_parallel_skeleton(asia_data_module, None, parallelism="warp", n_jobs=2)
+
+
+def _counters(res) -> tuple:
+    st = res.stats
+    return (
+        st.n_tests,
+        st.n_groups,
+        [(d.depth, d.n_edges_start, d.n_tests, d.n_groups, d.n_edges_removed) for d in st.depths],
+    )
+
+
+@pytest.fixture(scope="module")
+def grid_reference(asia_data_module):
+    """Per (method, parallelism): the n_jobs=1 run, and the pickled fork
+    run whose counters every other transport must match."""
+    out = {}
+    for method in ("fast-bns", "pc-stable"):
+        seq = learn_structure(asia_data_module, method=method)
+        for parallelism in ("ci", "edge", "sample"):
+            ref = learn_structure(
+                asia_data_module, method=method, n_jobs=2, parallelism=parallelism,
+                use_shm=False,
+            )
+            out[method, parallelism] = (seq, ref)
+    return out
+
+
+class TestTransportParity:
+    """Dataset transport (shm plane or pickled, fork or spawn) never
+    changes a result bit, for Fast-BNS and for the sample-major pc-stable
+    baseline, whose workers attach the plane in its own layout."""
+
+    @pytest.mark.parametrize("method", ["fast-bns", "pc-stable"])
+    @pytest.mark.parametrize("parallelism", ["ci", "edge", "sample"])
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    @pytest.mark.parametrize("use_shm", [True, False])
+    def test_parity_grid(
+        self, asia_data_module, grid_reference, monkeypatch, method, parallelism,
+        start_method, use_shm,
+    ):
+        if use_shm and not shared_memory_available():
+            pytest.skip("platform provides no usable shared memory")
+        # The pools always ask for "fork"; route that to the arm's start
+        # method so both contexts run through the public entry point.
+        real_get_context = multiprocessing.get_context
+        monkeypatch.setattr(
+            multiprocessing, "get_context", lambda method=None: real_get_context(start_method)
+        )
+        res = learn_structure(
+            asia_data_module, method=method, n_jobs=2, parallelism=parallelism, use_shm=use_shm
+        )
+        seq, ref = grid_reference[method, parallelism]
+        for other in (seq, ref):
+            assert sorted(res.skeleton.edges()) == sorted(other.skeleton.edges())
+            assert res.sepsets == other.sepsets
+            assert res.cpdag == other.cpdag
+            assert res.n_ci_tests == other.n_ci_tests
+        assert _counters(res) == _counters(ref)

@@ -15,8 +15,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.datasets.encoded import EncodedDataset
-from repro.datasets.shm import shared_memory_available
+from repro.datasets.shm import attach_dataset, shared_memory_available
 from repro.engine import DatasetSource, EngineServer, dataset_fingerprint, merge_totals
 
 RESPONSE_KEYS = {"op", "dataset", "fingerprint", "cached", "elapsed_s", "result", "error"}
@@ -266,7 +265,7 @@ class TestEviction:
             srv.handle({"op": "learn", "dataset": "b", "max_depth": 1})  # evicts a
             assert slot_a.session.closed and slot_a.session._pool is None
             with pytest.raises(FileNotFoundError):
-                EncodedDataset.attach_shm(handle)
+                attach_dataset(handle)
 
     def test_close_dataset_op(self, server):
         out = server.serve(

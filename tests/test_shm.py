@@ -2,24 +2,29 @@
 
 The contract under test (see :mod:`repro.datasets.shm`):
 
-* attach serves bit-identical encodings under both ``fork`` and ``spawn``;
+* an export holds the dataset's own values — same dtype, same layout —
+  and an attach serves them zero-copy and read-only;
+* process workers over variable-major ``uint8`` data run the fused kernel
+  on the attached block itself;
 * the creator — and only the creator — unlinks: on pool shutdown, on
   session exit, after a worker crash, and via the finalizer backstop when
   an export is dropped without ``close()``;
-* the pickled fallback path produces identical results;
-* baseline (non-memoizing) regimes refuse the plane.
+* shm and pickled workers give the same verdicts under ``fork`` and
+  ``spawn`` (the learn-level parity grid is in ``test_parallel.py``).
 """
 
 from __future__ import annotations
 
 import gc
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.citests.gsquare import GSquareTest
 from repro.datasets.dataset import DiscreteDataset
 from repro.datasets.encoded import EncodedDataset
-from repro.datasets.shm import shared_memory_available
+from repro.datasets.shm import attach_dataset, export_dataset, shared_memory_available
 from repro.engine import LearningSession
 from repro.parallel.backends import WorkerPool
 
@@ -36,79 +41,98 @@ def small_data() -> DiscreteDataset:
 
 def _attach_should_fail(handle) -> bool:
     try:
-        EncodedDataset.attach_shm(handle)
+        attach_dataset(handle)
     except FileNotFoundError:
         return True
     return False
 
 
+def _worker_dataset_view() -> tuple[str, bool]:
+    """Probe run inside a pool worker: its dataset's layout, and whether
+    the dataset is an attached shared-memory block."""
+    from repro.parallel import backends
+
+    ds = backends._WORKER_TESTER.dataset
+    return ds.layout, getattr(ds, "_shm_holder", None) is not None
+
+
 class TestExportAttach:
     def test_round_trip_values(self, small_data):
-        enc = EncodedDataset(small_data)
-        enc.xy_codes(0, 1)
-        enc.xy_codes(2, 3)
-        with enc.export_shm() as export:
-            attached = EncodedDataset.attach_shm(export.handle)
-            assert attached.dataset.n_variables == small_data.n_variables
-            assert attached.dataset.n_samples == small_data.n_samples
-            assert attached.dataset.names == small_data.names
-            for i in range(small_data.n_variables):
-                np.testing.assert_array_equal(attached.col64(i), enc.col64(i))
-            # pre-warmed pair plus a pair derived fresh from the plane
-            np.testing.assert_array_equal(attached.xy_codes(0, 1), enc.xy_codes(0, 1))
-            np.testing.assert_array_equal(attached.xy_codes(5, 6), enc.xy_codes(5, 6))
-            assert attached.stats()["n_col64"] == small_data.n_variables
-            attached.detach_shm()
+        with export_dataset(small_data) as export:
+            attached = attach_dataset(export.handle)
+            assert attached.n_variables == small_data.n_variables
+            assert attached.n_samples == small_data.n_samples
+            assert attached.names == small_data.names
+            assert attached.layout == small_data.layout
+            assert attached.values.dtype == small_data.values.dtype  # no widening
+            np.testing.assert_array_equal(attached.values, small_data.values)
+            np.testing.assert_array_equal(attached.arities, small_data.arities)
+            # Endpoint codes derived from the attached block equal local ones.
+            np.testing.assert_array_equal(
+                EncodedDataset(attached).xy_codes(5, 6), EncodedDataset(small_data).xy_codes(5, 6)
+            )
             del attached
             gc.collect()
 
     def test_attached_views_are_read_only(self, small_data):
-        with EncodedDataset(small_data).export_shm() as export:
-            attached = EncodedDataset.attach_shm(export.handle)
+        with export_dataset(small_data) as export:
+            attached = attach_dataset(export.handle)
             with pytest.raises(ValueError):
-                attached.col64(0)[0] = 1
+                attached.values[0, 0] = 1
             with pytest.raises(ValueError):
-                attached.dataset.values[0, 0] = 1
-            del attached
-            gc.collect()
-
-    def test_encode_z_from_attached_plane(self, small_data):
-        enc = EncodedDataset(small_data)
-        with enc.export_shm() as export:
-            attached = EncodedDataset.attach_shm(export.handle)
-            s, rz = (1, 4, 6), [small_data.arity(v) for v in (1, 4, 6)]
-            codes_a, nz_a = attached.encode_z(s, rz)
-            codes_b, nz_b = enc.encode_z(s, rz)
-            assert nz_a == nz_b
-            np.testing.assert_array_equal(codes_a, codes_b)
+                attached.column(0)[0] = 1
             del attached
             gc.collect()
 
     def test_handle_is_tiny_and_descriptive(self, small_data):
-        enc = EncodedDataset(small_data)
-        enc.xy_codes(0, 1)
-        with enc.export_shm() as export:
+        with export_dataset(small_data) as export:
             h = export.handle
-            assert h.pair_keys == ((0, 1),)
-            assert h.nbytes == 8 * small_data.n_samples * (small_data.n_variables + 1)
-            import pickle
-
+            assert h.nbytes == small_data.values.nbytes
+            assert h.layout == "variable-major"
+            assert np.dtype(h.dtype) == np.uint8
             assert len(pickle.dumps(h)) < 2048
 
-    def test_baseline_layer_refuses_export(self, small_data):
-        enc = EncodedDataset(small_data, memoize=False)
-        with pytest.raises(ValueError, match="baseline"):
-            enc.export_shm()
+    def test_repr_names_block_and_state(self, small_data):
+        export = export_dataset(small_data)
+        text = repr(export)
+        assert export.handle.values_block in text
+        assert f"{small_data.values.nbytes} shared bytes" in text
+        export.close()
+        assert "closed" in repr(export)
 
-    def test_detach_is_noop_on_ordinary_instances(self, small_data):
-        enc = EncodedDataset(small_data)
-        enc.detach_shm()  # must not raise
-        assert enc.shm is None
+    def test_sample_major_export_keeps_layout(self, small_data):
+        rotated = small_data.with_layout("sample-major")
+        with export_dataset(rotated) as export:
+            attached = attach_dataset(export.handle)
+            assert attached.layout == "sample-major"
+            assert attached.values.shape == rotated.values.shape
+            assert not attached.column(2).flags.c_contiguous  # still strided
+            np.testing.assert_array_equal(attached.column(2), small_data.column(2))
+            del attached
+            gc.collect()
+
+    def test_kernel_reads_attached_block_in_place(self, small_data):
+        with export_dataset(small_data) as export:
+            attached = attach_dataset(export.handle)
+            remote = GSquareTest(attached)
+            local = GSquareTest(small_data)
+            groups = [(0, 1, [(), (2,), (3,), (2, 3)]), (4, 5, [(6,), (0, 6)])]
+            for a, b in zip(
+                [r for res in local.test_groups(groups) for r in res],
+                [r for res in remote.test_groups(groups) for r in res],
+                strict=True,
+            ):
+                assert (a.statistic, a.dof, a.p_value, a.independent) == (
+                    b.statistic, b.dof, b.p_value, b.independent
+                )
+            assert remote._columns() is attached.values
+            del attached, remote
+            gc.collect()
 
 
 class TestUnlinkDiscipline:
     def test_export_close_unlinks(self, small_data):
-        export = EncodedDataset(small_data).export_shm()
+        export = export_dataset(small_data)
         handle = export.handle
         export.close()
         assert export.closed
@@ -116,7 +140,7 @@ class TestUnlinkDiscipline:
         assert _attach_should_fail(handle)
 
     def test_finalizer_backstop_unlinks_dropped_exports(self, small_data):
-        export = EncodedDataset(small_data).export_shm()
+        export = export_dataset(small_data)
         handle = export.handle
         del export
         gc.collect()
@@ -147,6 +171,31 @@ class TestUnlinkDiscipline:
             assert session.uses_shm
             handle = session._pool._shm_export.handle
         assert _attach_should_fail(handle)
+
+
+class TestWorkersReadInPlace:
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_kernel_columns_are_the_attached_block(self, small_data, start_method):
+        jobs = [(0, 1, ((), (2,), (3, 4))), (2, 5, ((0,), (1,), (0, 1)))]
+        with WorkerPool(small_data, 2, use_shm=True, start_method=start_method) as pool:
+            pool.eval_groups(jobs)
+            warm = pool.warm_up()
+            assert warm and all(w["reads_shared_block"] for w in warm)
+
+    def test_pickled_workers_read_no_shared_block(self, small_data):
+        with WorkerPool(small_data, 2, use_shm=False) as pool:
+            warm = pool.warm_up()
+            assert warm and not any(w["reads_shared_block"] for w in warm)
+
+    def test_sample_major_baseline_pool_keeps_its_layout(self, small_data):
+        rotated = small_data.with_layout("sample-major")
+        with WorkerPool(rotated, 2, use_shm=True, memoize_encodings=False) as pool:
+            assert pool.uses_shm
+            assert pool._executor.submit(_worker_dataset_view).result() == (
+                "sample-major",
+                True,
+            )
+            assert pool.eval_groups([(0, 1, ((), (2,)))])
 
 
 class TestTransportParity:
@@ -185,15 +234,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="thread"):
             WorkerPool(small_data, 2, backend="thread", use_shm=True)
 
-    def test_baseline_regime_rejects_use_shm(self, small_data):
-        with pytest.raises(ValueError, match="baseline"):
-            WorkerPool(small_data, 2, use_shm=True, memoize_encodings=False)
-
-    def test_baseline_regime_auto_falls_back_to_pickled(self, small_data):
-        with WorkerPool(small_data, 2, memoize_encodings=False) as pool:
-            assert not pool.uses_shm
-            assert pool.eval_groups([(0, 1, ((),))])
-
 
 class TestSampleLevelTransport:
     def test_use_shm_false_is_honoured(self, small_data, monkeypatch):
@@ -222,18 +262,7 @@ class TestSampleLevelTransport:
                 small_data, small_data.n_variables, n_jobs=2, backend="thread", use_shm=True
             )
 
-    def test_use_shm_true_rejects_sample_major_layout(self, small_data):
-        from repro.parallel.sample_level import sample_level_skeleton
-
-        rotated = small_data.with_layout("sample-major")
-        with pytest.raises(ValueError, match="layout"):
-            sample_level_skeleton(
-                rotated, rotated.n_variables, n_jobs=2, use_shm=True
-            )
-
     def test_raw_export_keeps_original_dtype(self, small_data):
-        from repro.datasets.shm import attach_dataset, export_dataset
-
         assert small_data.values.dtype == np.uint8  # smallest sufficient
         with export_dataset(small_data) as export:
             assert export.handle.nbytes == small_data.values.nbytes  # no widening
@@ -248,7 +277,6 @@ class TestCapacityGuard:
         import os
 
         from repro.datasets import shm as shm_mod
-        from repro.datasets.encoded import EncodedDataset
 
         class TinyFS:
             f_bavail = 1
@@ -256,11 +284,10 @@ class TestCapacityGuard:
 
         monkeypatch.setattr(os, "statvfs", lambda path: TinyFS())
         # auto mode: clean fallback to the pickled path
-        assert shm_mod.try_export_encoded(EncodedDataset(small_data), None) is None
         assert shm_mod.try_export_dataset(small_data, None) is None
         # explicit use_shm=True: a catchable error, not a SIGBUS later
         with pytest.raises(OSError, match="free"):
-            shm_mod.try_export_encoded(EncodedDataset(small_data), True)
+            shm_mod.try_export_dataset(small_data, True)
 
     def test_pool_auto_mode_survives_undersized_shm(self, small_data, monkeypatch):
         import os
