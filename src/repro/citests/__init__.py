@@ -11,7 +11,7 @@ from .contingency import (
     encode_columns,
     n_configurations,
 )
-from .gsquare import GSquareTest, g2_test_from_counts
+from .gsquare import GSquareTest
 from .mutual_info import MutualInformationTest
 from .naive import NaiveGSquareTest
 from .native import native_available, native_kind
@@ -24,7 +24,6 @@ __all__ = [
     "ConditionalIndependenceTest",
     "ContingencyTableTest",
     "GSquareTest",
-    "g2_test_from_counts",
     "ChiSquareTest",
     "KernelArena",
     "MutualInformationTest",

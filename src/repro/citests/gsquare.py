@@ -30,12 +30,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tablebase import ContingencyTableTest, chi2_sf
+from .tablebase import ContingencyTableTest
 
-__all__ = ["GSquareTest", "g2_test_from_counts"]
-
-# Backwards-compatible alias (historically private to this module).
-_chi2_sf = chi2_sf
+__all__ = ["GSquareTest"]
 
 
 def _g2_elementwise(
@@ -133,25 +130,3 @@ class GSquareTest(ContingencyTableTest):
     def _finalize_stats(self, sums: np.ndarray) -> np.ndarray:
         return np.maximum(2.0 * sums, 0.0)
 
-
-def g2_test_from_counts(
-    counts: np.ndarray,
-    nz_structural: int,
-    rx: int,
-    ry: int,
-    alpha: float,
-    dof_adjust: str = "structural",
-) -> tuple[float, float, float, bool]:
-    """Full G^2 decision from a pre-built ``(nz, rx, ry)`` table.
-
-    Used by the sample-level parallel backend, whose workers build partial
-    tables that the master merges before testing.  Returns
-    ``(statistic, dof, p_value, independent)``.
-    """
-    stat, _n_logs, n_nonempty = _g2_from_counts(counts)
-    if dof_adjust == "structural":
-        dof = (rx - 1) * (ry - 1) * float(nz_structural)
-    else:
-        dof = (rx - 1) * (ry - 1) * float(max(n_nonempty, 1))
-    p = chi2_sf(stat, dof)
-    return stat, dof, p, p > alpha

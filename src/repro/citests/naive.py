@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from ..datasets.dataset import DiscreteDataset
 from .base import CITestCounters, CITestResult
 from .contingency import n_configurations
-from .gsquare import _chi2_sf
+from .tablebase import chi2_sf
 
 __all__ = ["NaiveGSquareTest"]
 
@@ -83,7 +83,7 @@ class NaiveGSquareTest:
             dof = (rx - 1) * (ry - 1) * float(nz_structural)
         else:
             dof = (rx - 1) * (ry - 1) * float(max(len(n_z), 1))
-        p = _chi2_sf(stat, dof)
+        p = chi2_sf(stat, dof)
         self.counters.record(
             depth=len(s), m=m, cells=len(counts), logs=len(counts), xy_reused=False
         )

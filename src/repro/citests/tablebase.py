@@ -490,16 +490,7 @@ class ContingencyTableTest:
         if self._builder is not None:
             counts, nz_structural, from_cache, entry = self._builder.ci_counts(x, y, s)
         else:
-            counts, nz_structural, _dense = ci_counts(
-                ds.column(x),
-                ds.column(y),
-                ds.columns(s),
-                rx,
-                ry,
-                [ds.arity(v) for v in s],
-                compress_threshold=self.compress_threshold,
-                xy_codes=xy_codes,
-            )
+            counts, nz_structural = self._table(x, y, s, rx, ry, xy_codes)
         memo = None if entry is None else entry.memo
         if memo is not None and memo[0] == self._memo_kind:
             res, n_logs = self._from_memo(x, y, s, memo), memo[4]
@@ -516,6 +507,24 @@ class ContingencyTableTest:
             from_cache=from_cache,
         )
         return res
+
+    def _table(
+        self, x: int, y: int, s: tuple[int, ...], rx: int, ry: int, xy_codes: np.ndarray | None
+    ) -> tuple[np.ndarray, int]:
+        """``(counts, nz_structural)`` of one looped-path test without a
+        stats cache (the sample-level tester's hook)."""
+        ds = self.dataset
+        counts, nz_structural, _dense = ci_counts(
+            ds.column(x),
+            ds.column(y),
+            ds.columns(s),
+            rx,
+            ry,
+            [ds.arity(v) for v in s],
+            compress_threshold=self.compress_threshold,
+            xy_codes=xy_codes,
+        )
+        return counts, nz_structural
 
     def _memo(self, res: CITestResult, n_logs: int) -> tuple:
         """The stats-cache score memo of a freshly scored table."""

@@ -233,7 +233,6 @@ def learn_structure(
 
         skeleton, sepsets, stats = run_parallel_skeleton(
             dataset,
-            tester,
             parallelism=parallelism,
             n_jobs=n_jobs,
             backend=backend,

@@ -34,7 +34,13 @@ Edge removals are applied at the end of each depth.  Within a depth this is
 behaviourally identical to immediate removal (conditioning sets come from
 the depth's frozen snapshot and every edge is an independent work item) and
 it makes the engine's output invariant to work-item scheduling order, which
-is exactly the property the parallel backends rely on.
+is exactly the property the parallel backends rely on.  The depth loop
+itself — termination, the per-depth task snapshot, deferred removals with
+the lowest-work-item-rank tie-break, and the stats roll-up — is
+:func:`drive_skeleton`, shared by every scheme: the sequential engine, the
+CI- and edge-level backends each pass it their own per-depth search, and
+the sample-level backend is this engine at ``gs=1`` over a sample-sliced
+tester.
 
 That invariance is also what lets the sequential engine run each depth as
 *rounds*: a round pops up to :data:`ROUND_CAP` ready work items, takes each
@@ -61,6 +67,7 @@ committed).
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 
 from ..citests.base import ConditionalIndependenceTest, CITestResult, evaluate_prefix
 from ..graphs.undirected import UndirectedGraph
@@ -72,6 +79,9 @@ from .workpool import WorkPool
 
 __all__ = [
     "learn_skeleton",
+    "drive_skeleton",
+    "Hit",
+    "DepthSearch",
     "build_depth_tasks",
     "depth_has_work",
     "ROUND_CAP",
@@ -156,6 +166,75 @@ def _test_records(
     return records
 
 
+#: One accepting set found by a depth search: ``(work_item_rank, u, v,
+#: sepset)``.  Per edge, the hit of the lowest work-item rank wins.
+Hit = tuple[int, int, int, tuple[int, ...]]
+
+#: A scheme's search body: runs one depth's CI tests over the snapshot's
+#: work items (in :func:`build_depth_tasks` order, which defines the
+#: ranks), bills its tests to the depth's stats (and any pool counts to
+#: the run's), and returns its hits.
+DepthSearch = Callable[[list[EdgeTask], DepthStats, SkeletonStats], list[Hit]]
+
+
+def drive_skeleton(
+    n_nodes: int,
+    search: DepthSearch,
+    group_endpoints: bool = True,
+    max_depth: int | None = None,
+    recorder: TraceRecorder | None = None,
+) -> tuple[UndirectedGraph, SepSetStore, SkeletonStats]:
+    """Algorithm 1's depth loop, shared by every skeleton scheme.
+
+    Per depth: stop past ``max_depth``, on an empty graph or when no edge
+    has enough neighbours left (:func:`depth_has_work`); otherwise snapshot
+    the work items, let ``search`` run the depth's tests, then remove every
+    edge with a hit — the lowest-rank hit's set is its sepset — and roll
+    the depth's stats up into the run's.  The schemes differ only in
+    ``search``, i.e. in how a depth's tests are scheduled.
+    """
+    t_start = time.perf_counter()
+    graph = UndirectedGraph.complete(n_nodes)
+    sepsets = SepSetStore()
+    stats = SkeletonStats()
+
+    depth = 0
+    while (
+        (max_depth is None or depth <= max_depth)
+        and graph.n_edges > 0
+        and (depth == 0 or depth_has_work(graph, depth))
+    ):
+        d_stats = DepthStats(depth=depth, n_edges_start=graph.n_edges)
+        t_depth = time.perf_counter()
+        if recorder is not None:
+            recorder.begin_depth(depth, graph.n_edges)
+
+        tasks = build_depth_tasks(graph, depth, group_endpoints)
+        best: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+        for rank, u, v, sepset in search(tasks, d_stats, stats):
+            prev = best.get((u, v))
+            if prev is None or rank < prev[0]:
+                best[u, v] = (rank, sepset)
+        # Apply removals (deferred; see module docstring).
+        for (u, v), (_rank, sepset) in best.items():
+            sepsets.record(u, v, sepset)
+            graph.remove_edge(u, v)
+            if recorder is not None:
+                recorder.mark_removed(u, v)
+        d_stats.n_edges_removed = len(best)
+        d_stats.elapsed_s = time.perf_counter() - t_depth
+        stats.depths.append(d_stats)
+        stats.n_tests += d_stats.n_tests
+        stats.n_redundant_tests += d_stats.n_redundant_tests
+        stats.n_groups += d_stats.n_groups
+        if recorder is not None:
+            recorder.end_depth(d_stats.n_edges_removed)
+        depth += 1
+
+    stats.elapsed_s = time.perf_counter() - t_start
+    return graph, sepsets, stats
+
+
 def learn_skeleton(
     tester: ConditionalIndependenceTest,
     n_nodes: int,
@@ -176,26 +255,7 @@ def learn_skeleton(
     if n_nodes < 0:
         raise ValueError("n_nodes must be >= 0")
 
-    t_start = time.perf_counter()
-    graph = UndirectedGraph.complete(n_nodes)
-    sepsets = SepSetStore()
-    stats = SkeletonStats()
-
-    depth = 0
-    while True:
-        if max_depth is not None and depth > max_depth:
-            break
-        if depth > 0 and not depth_has_work(graph, depth):
-            break
-        if graph.n_edges == 0:
-            break
-
-        d_stats = DepthStats(depth=depth, n_edges_start=graph.n_edges)
-        t_depth = time.perf_counter()
-        if recorder is not None:
-            recorder.begin_depth(depth, graph.n_edges)
-
-        tasks = build_depth_tasks(graph, depth, group_endpoints)
+    def search(tasks: list[EdgeTask], d_stats: DepthStats, stats: SkeletonStats) -> list[Hit]:
         rank = {id(t): i for i, t in enumerate(tasks)}
         materialised: list[list[tuple[int, ...]]] | None = None
         if not onthefly:
@@ -213,10 +273,7 @@ def learn_skeleton(
         for task in reversed(tasks):
             pool.push(task)
 
-        # first accepting conditioning set per edge, in work-item order:
-        # (edge, item_rank) -> sepset; applied at depth end.
-        found: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
-
+        hits: list[Hit] = []
         while pool:
             batch = pool.pop_many(ROUND_CAP)
             width = gs * LOOKAHEAD if not pool and len(batch) < SPEC_BELOW else gs
@@ -249,40 +306,22 @@ def learn_skeleton(
                     # Tests executed after the accepting one (within its
                     # group) are the gs redundancy of Fig. 4.
                     d_stats.n_redundant_tests += len(last) - 1 - first_idx
-                    found.setdefault((task.u, task.v), []).append(
-                        (rank[id(task)], last[first_idx].s)
-                    )
+                    hits.append((rank[id(task)], task.u, task.v, last[first_idx].s))
                 elif not task.done:
                     unfinished.append(task)
             # Pushed back lowest rank on top: rounds sweep items in order.
             for task in reversed(unfinished):
                 pool.push(task)
 
-        if recorder is not None:
+        if traced is not None:
             for task, groups in zip(tasks, traced, strict=True):
                 for records in groups:
                     recorder.record_group(task.u, task.v, task.total_tests, records)
-        # Apply removals (deferred; see module docstring).
-        for (u, v), hits in found.items():
-            hits.sort(key=lambda pair: pair[0])
-            sepsets.record(u, v, hits[0][1])
-            graph.remove_edge(u, v)
-            if recorder is not None:
-                recorder.mark_removed(u, v)
-        d_stats.n_edges_removed = len(found)
-        d_stats.elapsed_s = time.perf_counter() - t_depth
-        stats.depths.append(d_stats)
-        stats.n_tests += d_stats.n_tests
-        stats.n_redundant_tests += d_stats.n_redundant_tests
-        stats.n_groups += d_stats.n_groups
         stats.pool_pushes += pool.n_pushes
         stats.pool_pops += pool.n_pops
-        if recorder is not None:
-            recorder.end_depth(d_stats.n_edges_removed)
+        return hits
 
-        depth += 1
-
-    stats.elapsed_s = time.perf_counter() - t_start
+    graph, sepsets, stats = drive_skeleton(n_nodes, search, group_endpoints, max_depth, recorder)
     counters = getattr(tester, "counters", None)
     if counters is not None:
         stats.counters = counters.snapshot()

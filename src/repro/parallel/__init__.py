@@ -2,8 +2,12 @@
 
 All three granularities of Fig. 1 are implemented and produce output
 identical to the sequential engine; they differ only in scheduling, which is
-the property under study.  See the individual modules for the faithfulness
-notes of each scheme.
+the property under study.  All three run Algorithm 1's one depth loop,
+:func:`~repro.core.skeleton.drive_skeleton`, on one worker pool,
+:class:`~repro.parallel.backends.WorkerPool`: CI- and edge-level supply
+their own per-depth search, and sample-level is a tester under the
+sequential engine.  See the individual modules for the faithfulness notes
+of each scheme.
 
 Beyond the paper, this package adds the two serving-scale mechanisms of
 the zero-copy PR: process workers attach the dataset through the
@@ -16,7 +20,6 @@ group kernel.  Neither changes any result bit.
 
 from __future__ import annotations
 
-from ..citests.base import ConditionalIndependenceTest
 from ..citests.tablebase import wave_arena_hint
 from ..core.result import SkeletonStats
 from ..core.sepsets import SepSetStore
@@ -42,7 +45,6 @@ __all__ = [
 
 def run_parallel_skeleton(
     dataset: DiscreteDataset,
-    tester: ConditionalIndependenceTest,
     parallelism: str = "ci",
     n_jobs: int = 2,
     backend: str = "process",
@@ -53,22 +55,20 @@ def run_parallel_skeleton(
     test: str = "g2",
     dof_adjust: str = "structural",
     recorder: TraceRecorder | None = None,
-    batch_factor: int = 4,
     memoize_encodings: bool = True,
     use_shm: bool | None = None,
 ) -> tuple[UndirectedGraph, SepSetStore, SkeletonStats]:
     """Dispatch the skeleton phase to the requested parallel granularity.
 
-    ``tester`` is only consulted for configuration defaults (workers build
-    their own testers); pass the same ``test``/``alpha``/``dof_adjust`` the
-    sequential run would use.  ``memoize_encodings=False`` turns off every
-    worker's endpoint-pair memo, so workers re-derive encodings per test —
-    the baseline regime (mirrors the sequential baselines in
+    Workers build their own testers; pass the same
+    ``test``/``alpha``/``dof_adjust`` the sequential run would use.
+    ``memoize_encodings=False`` is the baseline regime: every worker's
+    tester re-derives encodings per test and runs the looped per-set path
+    (mirrors the sequential baselines in
     :func:`repro.core.learn.learn_structure`).
     ``gs`` accepts a fixed size, ``"auto"`` or a scheduler (CI-level only);
     ``use_shm`` is forwarded to the :class:`WorkerPool` dataset transport.
     """
-    del tester  # workers rebuild their own testers; kept for API symmetry
     if parallelism not in ("ci", "edge", "sample"):
         raise ValueError(f"unknown parallelism {parallelism!r}")
     if parallelism == "sample":
@@ -114,7 +114,6 @@ def run_parallel_skeleton(
                 gs=gs,
                 group_endpoints=group_endpoints,
                 max_depth=max_depth,
-                batch_factor=batch_factor,
                 recorder=recorder,
                 n_samples=dataset.n_samples,
             )

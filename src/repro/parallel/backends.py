@@ -1,4 +1,4 @@
-"""Worker-pool plumbing shared by the three parallel granularities.
+"""The one worker pool shared by the three parallel granularities.
 
 Process workers are created once per learning run (the paper's OpenMP
 threads live for the whole parallel region; re-spawning per depth would be
@@ -31,6 +31,12 @@ dataset.  Because p-values do not depend on the significance level, a
 relearn at a different alpha reuses the same pool: ``eval_groups`` accepts
 an ``alpha`` override and workers re-threshold the cached p-values.
 
+Three job kinds cross the pool: CI-level group chunks
+(:meth:`WorkerPool.eval_groups`), edge-level whole edges
+(:meth:`WorkerPool.eval_edges`) and sample-level count slices
+(:meth:`WorkerPool.partial_counts`, counted over the worker's own
+dataset, not its tester).
+
 The ``thread`` backend exists for comparison and for the sample-level
 scheme (threads already share one address space, so the shm plane is
 moot there); CPython's GIL limits its speedup, which is documented
@@ -48,9 +54,10 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..citests.base import ConditionalIndependenceTest, evaluate_groups
+from ..citests.contingency import encode_columns
 from ..datasets.dataset import DiscreteDataset
 
-__all__ = ["WorkerPool", "GroupJob", "EdgeJob"]
+__all__ = ["WorkerPool", "GroupJob", "EdgeJob", "CountJob"]
 
 # Module-level worker state (set by the process-pool initializer).  The
 # arena is the worker's kernel scratch pool: it outlives every job the
@@ -63,6 +70,8 @@ GroupJob = tuple[int, int, tuple[tuple[int, ...], ...]]
 # (u, v, conditioning sets) -> per-set independence verdicts
 EdgeJob = tuple[int, int, tuple[int, ...], tuple[int, ...], int]
 # (u, v, side1, side2, depth) -> (n_tests_executed, accepting set | None)
+CountJob = tuple[int, int, tuple[int, ...], int, int, int]
+# (x, y, s, lo, hi, table_size) -> dense counts of samples [lo, hi)
 
 
 def _new_arena(arena_hint: dict | None):
@@ -75,6 +84,16 @@ def _new_arena(arena_hint: dict | None):
     return arena
 
 
+def _worker_encoded(dataset: DiscreteDataset, memoize_encodings: bool):
+    """The encoding layer of a worker's tester (no endpoint-pair memo in
+    the baseline regime)."""
+    from ..datasets.encoded import DEFAULT_MAX_XY_ENTRIES, EncodedDataset
+
+    return EncodedDataset(
+        dataset, max_xy_entries=DEFAULT_MAX_XY_ENTRIES if memoize_encodings else 0
+    )
+
+
 def _make_worker_tester(
     dataset: DiscreteDataset,
     encoded,
@@ -83,9 +102,13 @@ def _make_worker_tester(
     alpha: float,
     dof_adjust: str,
     cache_bytes: int | None,
+    memoize_encodings: bool,
 ) -> ConditionalIndependenceTest:
     """One worker's tester, with its own stats cache when ``cache_bytes``
-    is set; ``encoded`` may be shared, ``arena`` may not."""
+    is set; ``encoded`` may be shared, ``arena`` may not.  The baseline
+    regime (``memoize_encodings=False``) gets the looped per-set path, as
+    :func:`~repro.core.learn.learn_structure` gives the sequential
+    baselines."""
     from ..core.learn import make_tester
 
     stats_cache = None
@@ -95,7 +118,7 @@ def _make_worker_tester(
         stats_cache = SufficientStatsCache(max_bytes=cache_bytes)
     return make_tester(
         dataset, test, alpha=alpha, dof_adjust=dof_adjust, stats_cache=stats_cache,
-        encoded=encoded, arena=arena,
+        encoded=encoded, arena=arena, batch_groups=memoize_encodings,
     )
 
 
@@ -105,26 +128,26 @@ def _init_worker(
     alpha: float,
     dof_adjust: str,
     cache_bytes: int | None,
-    max_xy_entries: int,
+    memoize_encodings: bool,
     arena_hint: dict | None,
 ) -> None:
     """Process-worker initializer.  ``source`` is the pickled (or, under
     ``fork``, inherited) dataset, or the handle of its shared-memory
     export, attached zero-copy here (module docstring)."""
     global _WORKER_TESTER, _WORKER_ARENA
-    from ..datasets.encoded import EncodedDataset
     from ..datasets.shm import ShmRawHandle, attach_dataset
 
     dataset = attach_dataset(source) if isinstance(source, ShmRawHandle) else source
     _WORKER_ARENA = _new_arena(arena_hint)
     _WORKER_TESTER = _make_worker_tester(
         dataset,
-        EncodedDataset(dataset, max_xy_entries=max_xy_entries),
+        _worker_encoded(dataset, memoize_encodings),
         _WORKER_ARENA,
         test,
         alpha,
         dof_adjust,
         cache_bytes,
+        memoize_encodings,
     )
 
 
@@ -227,8 +250,25 @@ def _eval_edge(job: EdgeJob) -> tuple[int, tuple[int, ...] | None]:
     return _eval_edge_on(_WORKER_TESTER, job)
 
 
+def _partial_counts_on(ds: DiscreteDataset, job: CountJob) -> np.ndarray:
+    """Sample-level work unit: count one slice of the samples into a
+    private dense table."""
+    x, y, s, lo, hi, table_size = job
+    rx, ry = ds.arity(x), ds.arity(y)
+    cell = ds.column(x)[lo:hi].astype(np.int64) * ry + ds.column(y)[lo:hi]
+    if s:
+        z_codes, _ = encode_columns([ds.column(v)[lo:hi] for v in s], [ds.arity(v) for v in s])
+        cell = z_codes * (rx * ry) + cell
+    return np.bincount(cell, minlength=table_size)
+
+
+def _partial_counts(job: CountJob) -> np.ndarray:
+    assert _WORKER_TESTER is not None, "worker not initialised"
+    return _partial_counts_on(_WORKER_TESTER.dataset, job)
+
+
 class WorkerPool:
-    """An executor plus the matching group/edge evaluation callables.
+    """An executor plus the matching group/edge/count job callables.
 
     ``process`` backend: module-level worker functions with per-process
     testers (zero shared state).  ``thread`` backend: closures over
@@ -238,9 +278,9 @@ class WorkerPool:
 
     ``cache_bytes`` gives each worker a byte-budgeted sufficient-statistics
     cache (see module docstring); ``None`` keeps the seed behaviour.
-    ``memoize_encodings=False`` turns off every worker's endpoint-pair
-    memo — the baseline regime, which re-derives encodings per test like
-    its sequential counterpart.
+    ``memoize_encodings=False`` is the baseline regime: every worker's
+    tester keeps no endpoint-pair memo and runs the looped per-set path,
+    like its sequential counterpart.
 
     ``use_shm`` controls the zero-copy plane: ``None`` (default) uses it
     whenever the backend is ``process`` and the platform provides working
@@ -271,8 +311,6 @@ class WorkerPool:
             raise ValueError("backend must be 'process' or 'thread'")
         if use_shm and backend == "thread":
             raise ValueError("thread workers already share memory; use_shm applies to processes")
-        from ..datasets.encoded import DEFAULT_MAX_XY_ENTRIES, EncodedDataset
-
         self.n_jobs = n_jobs
         self.backend = backend
         self.alpha = float(alpha)
@@ -280,7 +318,6 @@ class WorkerPool:
         self.arities = tuple(int(dataset.arity(i)) for i in range(dataset.n_variables))
         self._shm_export = None
         self._executor: Executor
-        max_xy_entries = DEFAULT_MAX_XY_ENTRIES if memoize_encodings else 0
         if backend == "process":
             from ..datasets.shm import try_export_dataset
 
@@ -301,16 +338,17 @@ class WorkerPool:
                 mp_context=ctx,
                 initializer=_init_worker,
                 initargs=(
-                    source, test, alpha, dof_adjust, cache_bytes, max_xy_entries, arena_hint,
+                    source, test, alpha, dof_adjust, cache_bytes, memoize_encodings, arena_hint,
                 ),
             )
             self._eval_group_chunk_fn = _eval_group_chunk
             self._eval_edge_fn = _eval_edge
+            self._partial_counts_fn = _partial_counts
         else:
             import threading
 
             local = threading.local()
-            shared_encoded = EncodedDataset(dataset, max_xy_entries=max_xy_entries)
+            shared_encoded = _worker_encoded(dataset, memoize_encodings)
 
             def tester() -> ConditionalIndependenceTest:
                 if not hasattr(local, "tester"):
@@ -318,13 +356,14 @@ class WorkerPool:
                     # and are not safe to share across concurrent kernels.
                     local.tester = _make_worker_tester(
                         dataset, shared_encoded, _new_arena(arena_hint), test, alpha,
-                        dof_adjust, cache_bytes,
+                        dof_adjust, cache_bytes, memoize_encodings,
                     )
                 return local.tester
 
             self._executor = ThreadPoolExecutor(max_workers=n_jobs)
             self._eval_group_chunk_fn = lambda jobs, alpha=None: _verdicts(tester(), jobs, alpha)
             self._eval_edge_fn = lambda job: _eval_edge_on(tester(), job)
+            self._partial_counts_fn = partial(_partial_counts_on, dataset)
 
     def eval_groups(
         self, jobs: Sequence[GroupJob], alpha: float | None = None
@@ -361,42 +400,39 @@ class WorkerPool:
             )
         )
 
-    def cache_stats(self) -> list[dict]:
-        """Per-worker stats-cache snapshots (process backend only; empty
-        when caching is disabled or the backend keeps thread-local caches).
+    def partial_counts(self, jobs: Sequence[CountJob]) -> list[np.ndarray]:
+        """Sample-level fork/join: one slice-private table per job, each
+        counted over the worker's own dataset (the attached block or the
+        pickled copy; thread workers share the caller's arrays)."""
+        return list(self._executor.map(self._partial_counts_fn, jobs))
+
+    def _probe(self, fn) -> list[dict]:
+        """One ``fn()`` snapshot per responding process worker.
 
         Probes are claimed by whichever workers are idle, so an
         oversubmitted batch is deduplicated by worker PID; the result is a
         best-effort sample — one exact snapshot per *responding* worker,
-        never a double-counted one.
-        """
-        if self.cache_bytes is None or self.backend != "process":
-            return []
-        by_pid: dict[int, dict] = {}
-        for stats in self._executor.map(
-            _run_probe, [_worker_cache_stats] * (4 * self.n_jobs), chunksize=1
-        ):
-            if stats is not None:
-                by_pid[stats["worker_pid"]] = stats
-        return list(by_pid.values())
-
-    def arena_stats(self) -> list[dict]:
-        """Per-worker kernel-arena snapshots (process backend only).
-
-        Best-effort sampling like :meth:`cache_stats`: one snapshot per
-        responding worker, deduplicated by PID.  Used by benches and tests
-        to verify steady-state buffer reuse (``n_grows`` plateaus while
-        ``n_takes`` keeps climbing).
+        never a double-counted one.  ``None`` snapshots are dropped; thread
+        workers share this process, so they report nothing.
         """
         if self.backend != "process":
             return []
         by_pid: dict[int, dict] = {}
-        for stats in self._executor.map(
-            _run_probe, [_worker_arena_stats] * (4 * self.n_jobs), chunksize=1
-        ):
+        for stats in self._executor.map(_run_probe, [fn] * (4 * self.n_jobs), chunksize=1):
             if stats is not None:
                 by_pid[stats["worker_pid"]] = stats
         return list(by_pid.values())
+
+    def cache_stats(self) -> list[dict]:
+        """Per-worker stats-cache snapshots (:meth:`_probe`; empty when
+        caching is disabled or the backend keeps thread-local caches)."""
+        return [] if self.cache_bytes is None else self._probe(_worker_cache_stats)
+
+    def arena_stats(self) -> list[dict]:
+        """Per-worker kernel-arena snapshots (:meth:`_probe`).  Used by
+        benches and tests to verify steady-state buffer reuse (``n_grows``
+        plateaus while ``n_takes`` keeps climbing)."""
+        return self._probe(_worker_arena_stats)
 
     @property
     def uses_shm(self) -> bool:
@@ -406,20 +442,11 @@ class WorkerPool:
     def warm_up(self) -> list[dict]:
         """Force worker start-up and report per-worker memory footprints.
 
-        Every responding worker touches the column matrix its kernel
-        reads and reports ``{worker_pid, private_kb, checksum,
-        reads_shared_block}`` (``private_kb`` is ``None`` off Linux).  Deduplicated by PID like
-        :meth:`cache_stats`; process backend only (thread workers share
-        this process's footprint).
+        Every responding worker (:meth:`_probe`) touches the column matrix
+        its kernel reads and reports ``{worker_pid, private_kb, checksum,
+        reads_shared_block}`` (``private_kb`` is ``None`` off Linux).
         """
-        if self.backend != "process":
-            return []
-        by_pid: dict[int, dict] = {}
-        for stats in self._executor.map(
-            _run_probe, [_worker_warm] * (4 * self.n_jobs), chunksize=1
-        ):
-            by_pid[stats["worker_pid"]] = stats
-        return list(by_pid.values())
+        return self._probe(_worker_warm)
 
     def shutdown(self) -> None:
         self._executor.shutdown(wait=True)

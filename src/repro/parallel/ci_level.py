@@ -1,21 +1,25 @@
 """CI-level parallel skeleton phase (the paper's Fast-BNS-par scheme).
 
 The master owns the dynamic work pool; each scheduling round pops up to
-``n_jobs * batch_factor`` edges, ships one gs-group of CI tests per edge to
+``n_jobs * BATCH_FACTOR`` edges, ships one gs-group of CI tests per edge to
 the workers, applies the verdicts and pushes unfinished edges back.  This
 mirrors the paper's design (Sec. IV-B): threads process groups of CI tests
 from *different* edges, an edge is handled by at most one thread at a time,
 completed edges leave the pool immediately, and no atomic operations are
 needed because a contingency table is never shared.
+
+Only the per-depth search lives here; the depth loop, deferred removals and
+stats roll-up are :func:`~repro.core.skeleton.drive_skeleton`'s.
 """
 
 from __future__ import annotations
 
 import time
 
+from ..core.edges import EdgeTask
 from ..core.result import DepthStats, SkeletonStats
 from ..core.sepsets import SepSetStore
-from ..core.skeleton import build_depth_tasks, depth_has_work
+from ..core.skeleton import Hit, drive_skeleton
 from ..core.trace import TestRecord, TraceRecorder
 from ..core.workpool import WorkPool
 from ..graphs.undirected import UndirectedGraph
@@ -24,6 +28,9 @@ from .backends import WorkerPool
 
 __all__ = ["ci_level_skeleton"]
 
+#: Work items per worker in one scheduling round.
+BATCH_FACTOR = 4
+
 
 def ci_level_skeleton(
     workers: WorkerPool,
@@ -31,7 +38,6 @@ def ci_level_skeleton(
     gs: int | str | AdaptiveGroupScheduler = 1,
     group_endpoints: bool = True,
     max_depth: int | None = None,
-    batch_factor: int = 4,
     recorder: TraceRecorder | None = None,
     n_samples: int = 1,
     alpha_override: float | None = None,
@@ -54,34 +60,15 @@ def ci_level_skeleton(
     """
     gs = resolve_gs(gs, arities=getattr(workers, "arities", None))
     scheduler = gs if isinstance(gs, AdaptiveGroupScheduler) else None
-    t_start = time.perf_counter()
-    graph = UndirectedGraph.complete(n_nodes)
-    sepsets = SepSetStore()
-    stats = SkeletonStats()
+    round_size = max(1, workers.n_jobs * BATCH_FACTOR)
 
-    depth = 0
-    while True:
-        if max_depth is not None and depth > max_depth:
-            break
-        if depth > 0 and not depth_has_work(graph, depth):
-            break
-        if graph.n_edges == 0:
-            break
-
-        d_stats = DepthStats(depth=depth, n_edges_start=graph.n_edges)
-        t_depth = time.perf_counter()
-        if recorder is not None:
-            recorder.begin_depth(depth, graph.n_edges)
-
-        tasks = build_depth_tasks(graph, depth, group_endpoints)
+    def search(tasks: list[EdgeTask], d_stats: DepthStats, stats: SkeletonStats) -> list[Hit]:
         item_rank = {id(t): i for i, t in enumerate(tasks)}
         pool = WorkPool()
-        for idx in range(len(tasks) - 1, -1, -1):
-            pool.push(tasks[idx])
+        for task in reversed(tasks):
+            pool.push(task)
 
-        found: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
-        round_size = max(1, workers.n_jobs * batch_factor)
-
+        hits: list[Hit] = []
         while pool:
             batch = pool.pop_many(round_size)
             jobs = []
@@ -111,7 +98,7 @@ def ci_level_skeleton(
                         task.v,
                         task.total_tests,
                         [
-                            TestRecord(depth=depth, m=n_samples, cells=0, independent=ind)
+                            TestRecord(depth=d_stats.depth, m=n_samples, cells=0, independent=ind)
                             for ind in verdicts
                         ],
                     )
@@ -127,30 +114,13 @@ def ci_level_skeleton(
                     )
                 if first_idx >= 0:
                     d_stats.n_redundant_tests += len(sets) - 1 - first_idx
-                    found.setdefault((task.u, task.v), []).append(
-                        (item_rank[id(task)], tuple(sets[first_idx]))
-                    )
+                    hits.append((item_rank[id(task)], task.u, task.v, tuple(sets[first_idx])))
                 elif not task.done:
                     pool.push(task)
 
-        for (u, v), hits in found.items():
-            hits.sort(key=lambda pair: pair[0])
-            sepsets.record(u, v, hits[0][1])
-            graph.remove_edge(u, v)
-            if recorder is not None:
-                recorder.mark_removed(u, v)
-        d_stats.n_edges_removed = len(found)
-        d_stats.elapsed_s = time.perf_counter() - t_depth
-        stats.depths.append(d_stats)
-        stats.n_tests += d_stats.n_tests
-        stats.n_redundant_tests += d_stats.n_redundant_tests
-        stats.n_groups += d_stats.n_groups
         stats.pool_pushes += pool.n_pushes
         stats.pool_pops += pool.n_pops
         stats.pool_peak = max(stats.pool_peak, pool.peak_size)
-        if recorder is not None:
-            recorder.end_depth(d_stats.n_edges_removed)
-        depth += 1
+        return hits
 
-    stats.elapsed_s = time.perf_counter() - t_start
-    return graph, sepsets, stats
+    return drive_skeleton(n_nodes, search, group_endpoints, max_depth, recorder)

@@ -8,9 +8,10 @@ conditioning sets, and early independence acceptance truncates work
 unpredictably), so the depth's wall time is the *slowest block's* time while
 other workers idle — no work stealing, no pool.
 
-Output is identical to the sequential engine (Fast-BNS semantics per edge:
-endpoint grouping honoured inside each work item; removal deferred to depth
-end).
+The depth loop is the shared :func:`~repro.core.skeleton.drive_skeleton`;
+this module supplies only the per-depth search, so the output is identical
+to the sequential engine (Fast-BNS semantics per edge: endpoint grouping
+honoured inside each work item; removal deferred to depth end).
 
 Workers come from the shared :class:`~repro.parallel.backends.WorkerPool`,
 so edge-level runs ride the zero-copy shared-memory dataset plane (or its
@@ -21,11 +22,10 @@ by test, which is precisely the coarse-grained behaviour under study.
 
 from __future__ import annotations
 
-import time
-
+from ..core.edges import EdgeTask
 from ..core.result import DepthStats, SkeletonStats
 from ..core.sepsets import SepSetStore
-from ..core.skeleton import build_depth_tasks, depth_has_work
+from ..core.skeleton import Hit, drive_skeleton
 from ..core.trace import TraceRecorder
 from ..graphs.undirected import UndirectedGraph
 from .backends import WorkerPool
@@ -46,46 +46,17 @@ def edge_level_skeleton(
             "trace recording requires per-test visibility; use the sequential "
             "engine or the CI-level backend to record traces"
         )
-    t_start = time.perf_counter()
-    graph = UndirectedGraph.complete(n_nodes)
-    sepsets = SepSetStore()
-    stats = SkeletonStats()
 
-    depth = 0
-    while True:
-        if max_depth is not None and depth > max_depth:
-            break
-        if depth > 0 and not depth_has_work(graph, depth):
-            break
-        if graph.n_edges == 0:
-            break
-
-        d_stats = DepthStats(depth=depth, n_edges_start=graph.n_edges)
-        t_depth = time.perf_counter()
-
-        tasks = build_depth_tasks(graph, depth, group_endpoints)
-        jobs = [(t.u, t.v, t.side1, t.side2, t.depth) for t in tasks]
+    def search(tasks: list[EdgeTask], d_stats: DepthStats, stats: SkeletonStats) -> list[Hit]:
         # Static block partition: worker k gets the contiguous slice
         # [k * ceil(n/t), ...) — the |Ed| / t dedication of Sec. IV-A.
-        results = workers.eval_edges(jobs)
-
-        found: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
+        results = workers.eval_edges([(t.u, t.v, t.side1, t.side2, t.depth) for t in tasks])
+        hits: list[Hit] = []
         for rank, (task, (n_exec, accepting)) in enumerate(zip(tasks, results, strict=True)):
             d_stats.n_tests += n_exec
             d_stats.n_groups += n_exec  # gs = 1 semantics inside workers
             if accepting is not None:
-                found.setdefault((task.u, task.v), []).append((rank, tuple(accepting)))
+                hits.append((rank, task.u, task.v, tuple(accepting)))
+        return hits
 
-        for (u, v), hits in found.items():
-            hits.sort(key=lambda pair: pair[0])
-            sepsets.record(u, v, hits[0][1])
-            graph.remove_edge(u, v)
-        d_stats.n_edges_removed = len(found)
-        d_stats.elapsed_s = time.perf_counter() - t_depth
-        stats.depths.append(d_stats)
-        stats.n_tests += d_stats.n_tests
-        stats.n_groups += d_stats.n_groups
-        depth += 1
-
-    stats.elapsed_s = time.perf_counter() - t_start
-    return graph, sepsets, stats
+    return drive_skeleton(n_nodes, search, group_endpoints, max_depth)

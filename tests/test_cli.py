@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.cli import BATCH_DATASET, build_parser, main
+
+#: The checkout this test file belongs to (``serve`` children import its src/).
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParser:
@@ -509,7 +514,7 @@ class TestServeSubprocess:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
-            cwd="/root/repo",
+            cwd=REPO_ROOT,
             text=True,
         )
 

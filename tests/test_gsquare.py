@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from repro.citests.gsquare import GSquareTest, g2_test_from_counts
+from repro.citests.gsquare import GSquareTest
 from repro.datasets.dataset import DiscreteDataset
 
 
@@ -158,21 +158,6 @@ class TestGroupEvaluation:
         # first test: m * (1 + 2) accesses, second reuses XY: m * 1
         assert tester.counters.data_accesses == m * 3 + m * 1
         assert tester.counters.n_tests == 2
-
-
-class TestFromCounts:
-    def test_matches_tester(self, rng):
-        m = 1000
-        rows = np.column_stack([rng.integers(0, 2, m), rng.integers(0, 3, m), rng.integers(0, 2, m)])
-        ds = make_dataset(rows, arities=[2, 3, 2])
-        res = GSquareTest(ds).test(0, 1, (2,))
-        counts = np.zeros((2, 2, 3), dtype=np.int64)
-        for a, b, c in rows:
-            counts[c, a, b] += 1
-        stat, dof, p, ind = g2_test_from_counts(counts, 2, 2, 3, alpha=0.05)
-        assert stat == pytest.approx(res.statistic, rel=1e-12)
-        assert dof == res.dof
-        assert ind == res.independent
 
 
 class TestCompressionEquivalence:

@@ -3,15 +3,25 @@ the sequential result exactly."""
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 
+import numpy as np
 import pytest
 
+from repro.citests.gsquare import GSquareTest
 from repro.core.learn import learn_structure
+from repro.core.skeleton import learn_skeleton
 from repro.core.trace import TraceRecorder
+from repro.datasets.sampling import forward_sample
 from repro.datasets.shm import shared_memory_available
-from repro.parallel import WorkerPool, run_parallel_skeleton
-from repro.parallel.sample_level import sample_level_skeleton
+from repro.networks.catalog import get_network
+from repro.parallel import WorkerPool, backends, run_parallel_skeleton
+from repro.parallel.sample_level import (
+    SampleSlicedG2Test,
+    parallel_contingency,
+    sample_level_skeleton,
+)
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +124,89 @@ class TestSampleLevelInternals:
 
     def test_run_parallel_skeleton_dispatch_error(self, asia_data_module):
         with pytest.raises(ValueError):
-            run_parallel_skeleton(asia_data_module, None, parallelism="warp", n_jobs=2)
+            run_parallel_skeleton(asia_data_module, parallelism="warp", n_jobs=2)
+
+
+@pytest.fixture(scope="module")
+def alarm_2000():
+    return forward_sample(get_network("alarm"), 2000, rng=1)
+
+
+def _stats_fields(stats) -> dict:
+    """Every ``SkeletonStats`` field, per-depth ones included, except the
+    wall-clock timings."""
+    out = dataclasses.asdict(stats)
+    out.pop("elapsed_s")
+    for depth in out["depths"]:
+        depth.pop("elapsed_s")
+    return out
+
+
+class TestSampleLevelIsSequentialEngine:
+    """Sample-level runs the sequential engine at gs=1 over a sample-sliced
+    tester, so its statistics and counters are the sequential learn's."""
+
+    @pytest.mark.parametrize("backend", ["process", "thread"])
+    @pytest.mark.parametrize("group_endpoints", [True, False])
+    @pytest.mark.parametrize("network", ["asia", "alarm"])
+    def test_stats_equal_sequential_gs1(
+        self, asia_data_module, alarm_2000, network, group_endpoints, backend
+    ):
+        data = asia_data_module if network == "asia" else alarm_2000
+        seq = learn_skeleton(
+            GSquareTest(data), data.n_variables, gs=1, group_endpoints=group_endpoints
+        )
+        got = sample_level_skeleton(
+            data, data.n_variables, n_jobs=2, backend=backend, group_endpoints=group_endpoints
+        )
+        assert sorted(got[0].edges()) == sorted(seq[0].edges())
+        assert got[1] == seq[1]
+        assert got[2].counters is not None
+        assert _stats_fields(got[2]) == _stats_fields(seq[2])
+
+    def test_parallel_contingency_counts_every_sample(self, asia_data_module):
+        data = asia_data_module
+        with WorkerPool(data, 3, backend="thread") as workers:
+            counts, nz = parallel_contingency(workers, data, 0, 1, (2, 3))
+        x, y, z1, z2 = (data.column(v).astype(np.int64) for v in (0, 1, 2, 3))
+        expected = np.zeros((4, 2, 2), dtype=np.int64)
+        np.add.at(expected, (2 * z1 + z2, x, y), 1)
+        assert nz == 4
+        np.testing.assert_array_equal(counts, expected)
+
+    def test_sliced_tester_matches_gsquare(self):
+        from repro.networks.classic import asia
+
+        # 20 rows: the last set's 128-cell table exceeds 4·m and is built
+        # by the inherited (compressed) path, the others are sliced.
+        data = forward_sample(asia(), 20, rng=3)
+        sets = [(), (2,), (2, 3), (2, 3, 4, 5), (2, 3, 4, 5, 6)]
+        with WorkerPool(data, 2, backend="thread") as workers:
+            sliced = SampleSlicedG2Test(data, workers).test_group(0, 1, sets)
+        for got, ref in zip(sliced, GSquareTest(data).test_group(0, 1, sets), strict=True):
+            assert (got.statistic, got.dof, got.p_value) == (ref.statistic, ref.dof, ref.p_value)
+
+
+def _probe_worker_tester() -> tuple[bool, bool]:
+    """(batch_groups, holds a private column matrix) of this worker."""
+    tester = backends._WORKER_TESTER
+    return tester.batch_groups, tester._cols is not None
+
+
+class TestBaselineWorkers:
+    """``memoize_encodings=False`` workers run the looped baseline kernel,
+    like the sequential pc-stable baseline."""
+
+    def test_process_workers_get_looped_testers(self, alarm_2000):
+        data = alarm_2000.with_layout("sample-major")
+        with WorkerPool(data, 2, memoize_encodings=False) as pool:
+            pool.eval_groups([(u, u + 1, ((), (u + 2,))) for u in range(8)])
+            probes = {pool._executor.submit(_probe_worker_tester).result() for _ in range(4)}
+        assert probes == {(False, False)}
+
+    def test_fast_bns_workers_keep_fused_kernel(self, asia_data_module):
+        with WorkerPool(asia_data_module, 2) as pool:
+            assert pool._executor.submit(_probe_worker_tester).result()[0] is True
 
 
 def _counters(res) -> tuple:
