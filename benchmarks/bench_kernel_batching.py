@@ -29,12 +29,13 @@ The optional native path (auto-detected C backend, ``REPRO_NATIVE=0``
 disables) is timed and reported separately when present; it is never part
 of the speedup gate, which measures the pure-Python arena+fusion kernel.
 
-Measurement protocol: each path keeps its own shared
-:class:`~repro.datasets.encoded.EncodedDataset` (and the fused paths one
-:class:`~repro.citests.arena.KernelArena`) across rounds — mirroring how
-workers hold them for a whole learning run — with one untimed warmup
-round, then best-of-``ROUNDS`` with the paths interleaved so scheduler
-noise hits them evenly.
+Measurement protocol: each round builds a fresh tester per path.  The
+fused paths keep one :class:`~repro.citests.arena.KernelArena` across
+rounds — mirroring how a worker holds it for a whole learning run — and
+the looped path keeps nothing, re-deriving its endpoint codes once per
+group as the baselines do.  One untimed warmup round, then
+best-of-``ROUNDS`` with the paths interleaved so scheduler noise hits
+them evenly.
 
 Emits ``BENCH_kernel_batching.json`` with per-gs ops/sec, speedups, the
 native timings and the steady-state allocation profile.
@@ -52,7 +53,6 @@ from repro.citests.arena import KernelArena
 from repro.citests.gsquare import GSquareTest
 from repro.citests.native import native_available
 from repro.core.skeleton import learn_skeleton
-from repro.datasets.encoded import EncodedDataset
 
 NETWORK = "alarm"  # Table II network, quick-mode scale 1.0
 N_SAMPLES = 2000
@@ -102,17 +102,16 @@ def _collect_groups(dataset, gs):
 
 
 class _LoopedPath:
-    """Per-round looped oracle over a shared encoding layer."""
+    """Per-round looped oracle (one endpoint encode per group)."""
 
     name = "looped"
 
     def __init__(self, dataset, groups):
         self.dataset = dataset
         self.groups = groups
-        self.encoded = EncodedDataset(dataset)
 
     def run(self):
-        tester = GSquareTest(self.dataset, batch_groups=False, encoded=self.encoded)
+        tester = GSquareTest(self.dataset, batch_groups=False)
         groups = self.groups
         t0 = time.perf_counter()
         out = [tester.test_group(x, y, sets) for x, y, sets in groups]
@@ -120,18 +119,17 @@ class _LoopedPath:
 
 
 class _FusedPath:
-    """Per-round fused kernel over a shared encoding layer and arena."""
+    """Per-round fused kernel over a shared arena."""
 
     def __init__(self, dataset, groups, native):
         self.name = "native" if native else "fused"
         self.dataset = dataset
         self.groups = groups
         self.native = native
-        self.encoded = EncodedDataset(dataset)
         self.arena = KernelArena()
 
     def run(self):
-        tester = GSquareTest(self.dataset, encoded=self.encoded, arena=self.arena)
+        tester = GSquareTest(self.dataset, arena=self.arena)
         tester.use_native = self.native
         groups = self.groups
         t0 = time.perf_counter()

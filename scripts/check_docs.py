@@ -12,7 +12,13 @@ it existed):
 * **Doc citations in code** — every ``*.md`` name mentioned in a Python
   source/docstring/comment must exist in the repository (at the repo
   root, under ``docs/``, next to the citing file, or anywhere in the
-  tree for unique basenames).
+  tree for unique basenames);
+* **Module references in markdown** — every backticked dotted
+  ``repro.…`` name in the curated markdown set must resolve: with
+  ``src`` on ``sys.path``, the longest importable module prefix is
+  imported and the rest is looked up attribute by attribute (so a
+  deleted module or a renamed class fails the check).  Importing the
+  package needs numpy and scipy.
 
 Usage::
 
@@ -24,6 +30,7 @@ README quickstart snippet.
 
 from __future__ import annotations
 
+import importlib
 import pathlib
 import re
 import sys
@@ -47,6 +54,7 @@ PYTHON_TREES = ("src", "tests", "benchmarks", "examples", "scripts")
 
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _MD_NAME_RE = re.compile(r"\b([\w./-]+\.md)\b", re.IGNORECASE)
+_MODULE_REF_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
 
 
 def iter_markdown() -> list[pathlib.Path]:
@@ -109,18 +117,55 @@ def check_python_citations(problems: list[str]) -> None:
                         )
 
 
+def _resolves(dotted: str) -> bool:
+    """Import the longest importable prefix of ``dotted``, then look up
+    the remaining parts as attributes."""
+    parts = dotted.split(".")
+    for n in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:n]))
+        except ImportError:
+            continue
+        for attr in parts[n:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_module_references(problems: list[str]) -> None:
+    src = str(REPO / "src")
+    added = src not in sys.path
+    if added:
+        sys.path.insert(0, src)
+    try:
+        for md in iter_markdown():
+            for lineno, line in enumerate(md.read_text().splitlines(), 1):
+                for dotted in _MODULE_REF_RE.findall(line):
+                    if not _resolves(dotted):
+                        problems.append(
+                            f"{md.relative_to(REPO)}:{lineno}: dangling module reference "
+                            f"-> {dotted}"
+                        )
+    finally:
+        if added:
+            sys.path.remove(src)
+
+
 def main() -> int:
     problems: list[str] = []
     check_markdown_links(problems)
     check_python_citations(problems)
+    check_module_references(problems)
     if problems:
         print(f"{len(problems)} dangling documentation reference(s):", file=sys.stderr)
         for p in problems:
             print(f"  {p}", file=sys.stderr)
         return 1
     n_md = len(iter_markdown())
-    print(f"docs OK: links in {n_md} markdown files and *.md citations in "
-          f"{'/'.join(PYTHON_TREES)} all resolve")
+    print(f"docs OK: links and repro.* references in {n_md} markdown files and "
+          f"*.md citations in {'/'.join(PYTHON_TREES)} all resolve")
     return 0
 
 

@@ -23,7 +23,6 @@ __all__ = ["DETERMINISM_PATHS", "RESPONSE_PATHS"]
 DETERMINISM_PATHS = (
     "repro/citests/",
     "repro/core/",
-    "repro/datasets/encoded",
     "repro/engine/fingerprint",
     "repro/engine/workload",
 )

@@ -37,7 +37,6 @@ class MutualInformationTest:
         mi_threshold: float = 0.01,
         dof_adjust: str = "structural",
         stats_cache=None,
-        encoded=None,
         batch_groups: bool = True,
         arena=None,
     ) -> None:
@@ -48,7 +47,6 @@ class MutualInformationTest:
             alpha=alpha,
             dof_adjust=dof_adjust,
             stats_cache=stats_cache,
-            encoded=encoded,
             batch_groups=batch_groups,
             arena=arena,
         )

@@ -74,8 +74,10 @@ Work-counter accounting is identical in both paths and with or without a
 cache: a table hit reads no data; any other test reads its ``d``
 conditioning columns, plus the two endpoint columns when it is the first
 set of its gs-group — ``m * (d + 2)`` or ``m * d`` data accesses (Sec.
-IV-D).  The :class:`~repro.datasets.encoded.EncodedDataset` memoization
-layer is deliberately *not* credited — see its module docstring.
+IV-D).  The fused tester's one-slot endpoint memo (``_xy_codes``) is
+deliberately *not* credited: the counters model the paper's abstract
+per-test data-access machine, and the memo is a constant-factor
+implementation detail.
 """
 
 from __future__ import annotations
@@ -86,8 +88,7 @@ from itertools import chain, repeat
 import numpy as np
 from scipy.special import gammaincc
 
-from ..datasets.dataset import DiscreteDataset
-from ..datasets.encoded import EncodedDataset
+from ..datasets.dataset import DiscreteDataset, smallest_uint_dtype
 from .arena import KernelArena, thread_arena
 from .base import CITestCounters, CITestResult
 from .contingency import ci_counts, column_counts, n_configurations
@@ -283,12 +284,12 @@ class ContingencyTableTest:
         Optional :class:`~repro.engine.statscache.SufficientStatsCache`;
         tables are then pulled through the cache (memoized by variable
         tuple).  Results are bit-identical either way.
-    encoded:
-        Optional shared :class:`~repro.datasets.encoded.EncodedDataset`
-        over the *same* dataset; by default the tester keeps a private one.
     batch_groups:
         ``True`` (default) routes group evaluation through the fused
-        kernel; ``False`` keeps the looped per-set reference path.
+        kernel, and an uncached tester keeps the endpoint codes of the
+        last ``(x, y)`` pair it encoded in one slot; ``False`` is the
+        baseline regime: the looped per-set reference path, re-deriving
+        the endpoint codes once per call and storing none.
     arena:
         Optional :class:`~repro.citests.arena.KernelArena` (one per
         worker); by default each kernel call uses the calling thread's
@@ -303,7 +304,6 @@ class ContingencyTableTest:
         dof_adjust: str = "structural",
         compress_threshold: int = 4,
         stats_cache=None,
-        encoded: EncodedDataset | None = None,
         batch_groups: bool = True,
         arena: KernelArena | None = None,
     ) -> None:
@@ -311,18 +311,20 @@ class ContingencyTableTest:
             raise ValueError("alpha must be in (0, 1)")
         if dof_adjust not in ("structural", "slices"):
             raise ValueError("dof_adjust must be 'structural' or 'slices'")
-        if encoded is not None and encoded.dataset is not dataset:
-            raise ValueError("encoded layer must wrap the tester's dataset")
         self.dataset = dataset
         self.alpha = float(alpha)
         self.dof_adjust = dof_adjust
         self.compress_threshold = int(compress_threshold)
         self.batch_groups = bool(batch_groups)
         self.counters = CITestCounters()
-        self.encoded = encoded if encoded is not None else EncodedDataset(dataset)
         self._arena = arena
         # The kernel's column matrix, resolved on first use (``_columns``).
         self._cols: np.ndarray | None = None
+        # ``(x, y, codes)`` of the last endpoint pair an uncached fused
+        # tester encoded (``_xy_codes``).  It needs no lock: it is replaced
+        # as one tuple and read once into a local, so even a shared tester
+        # only ever sees a pair together with that pair's codes.
+        self._xy_slot: tuple[int, int, np.ndarray] | None = None
         # Memo of per-set geometry ``s -> (rz, nz, place)`` (tiny tuples;
         # the planner touches it once per (group, set) pair, so a kernel
         # row needs no per-row arithmetic).
@@ -352,18 +354,47 @@ class ContingencyTableTest:
     def _columns(self) -> np.ndarray:
         """The ``(n_vars, m)`` column matrix the kernel reads: the dataset's
         own values when they are variable-major, C-contiguous and
-        ``uint8``/``uint16``, else the encoded layer's narrow copy."""
+        ``uint8``/``uint16``, else a read-only variable-major copy in the
+        smallest unsigned dtype covering the largest arity (values equal
+        ``column(i)`` exactly), built once."""
         if self._cols is None:
-            values = self.dataset.values
+            ds = self.dataset
+            values = ds.values
             if (
-                self.dataset.layout == "variable-major"
+                ds.layout == "variable-major"
                 and values.dtype in (np.uint8, np.uint16)
                 and values.flags.c_contiguous
             ):
                 self._cols = values
             else:
-                self._cols = self.encoded.cols_matrix()
+                dtype = smallest_uint_dtype(max(self._arities, default=1) - 1)
+                cols = np.empty((ds.n_variables, ds.n_samples), dtype=dtype)
+                for i in range(ds.n_variables):
+                    cols[i] = ds.column(i)
+                cols.setflags(write=False)
+                self._cols = cols
         return self._cols
+
+    def _xy_codes(self, x: int, y: int) -> np.ndarray | None:
+        """Per-sample endpoint cell codes ``x * ry + y`` (read-only) for a
+        looped build, or ``None`` with a stats cache attached (the builder
+        reads the endpoint columns only on a table miss).
+
+        A fused tester answers a repeat of its last pair from the one-slot
+        memo; a looped tester (the baseline regime) re-derives the codes
+        on every call and stores none."""
+        if self._builder is not None:
+            return None
+        slot = self._xy_slot
+        if slot is not None and slot[0] == x and slot[1] == y:
+            return slot[2]
+        ds = self.dataset
+        codes = ds.column(x).astype(np.int64) * ds.arity(y)
+        codes += ds.column(y)
+        codes.setflags(write=False)
+        if self.batch_groups:
+            self._xy_slot = (int(x), int(y), codes)
+        return codes
 
     # ------------------------------------------------------------------ #
     # statistic hooks (subclass responsibility)
@@ -385,10 +416,7 @@ class ContingencyTableTest:
     def test(self, x: int, y: int, s: Sequence[int]) -> CITestResult:
         """Single CI test ``I(x, y | s)``."""
         s = tuple(int(v) for v in s)
-        # With a stats cache the builder reads the endpoint columns only on
-        # a table miss, so a warm path never touches them.
-        xy_codes = None if self._builder is not None else self.encoded.xy_codes(x, y)
-        return self._test_single(x, y, s, xy_codes, xy_reused=False)
+        return self._test_single(x, y, s, self._xy_codes(x, y), xy_reused=False)
 
     def test_group(self, x: int, y: int, sets: Sequence[Sequence[int]]) -> list[CITestResult]:
         """Evaluate several conditioning sets sharing endpoints ``(x, y)``.
@@ -469,7 +497,7 @@ class ContingencyTableTest:
     def _test_group_looped(
         self, x: int, y: int, sets: list[tuple[int, ...]]
     ) -> list[CITestResult]:
-        xy_codes = None if self._builder is not None else self.encoded.xy_codes(x, y)
+        xy_codes = self._xy_codes(x, y)
         return [
             self._test_single(x, y, s, xy_codes, xy_reused=i > 0) for i, s in enumerate(sets)
         ]

@@ -36,7 +36,6 @@ def make_tester(
     alpha: float = 0.05,
     dof_adjust: str = "structural",
     stats_cache=None,
-    encoded=None,
     arena=None,
     batch_groups: bool = True,
 ) -> ConditionalIndependenceTest:
@@ -45,15 +44,13 @@ def make_tester(
     ``stats_cache`` optionally attaches a
     :class:`~repro.engine.statscache.SufficientStatsCache` so the tester
     serves repeated contingency tables from memory (the
-    :class:`~repro.engine.session.LearningSession` path); ``encoded``
-    optionally shares a :class:`~repro.datasets.encoded.EncodedDataset`
-    across testers so endpoint encodings are derived once per dataset;
-    ``arena`` optionally shares a
-    :class:`~repro.citests.arena.KernelArena` so the fused group kernel's
-    scratch buffers are reused across a tester family (one per worker
-    process); ``batch_groups=False`` keeps the looped per-set reference
-    path.  The naive tester ignores all four (its per-sample
-    interpretation *is* the point).
+    :class:`~repro.engine.session.LearningSession` path); ``arena``
+    optionally shares a :class:`~repro.citests.arena.KernelArena` so the
+    fused group kernel's scratch buffers are reused across a tester
+    family (one per worker process); ``batch_groups=False`` is the
+    baseline regime: the looped per-set reference path, re-deriving the
+    endpoint codes per call.  The naive tester ignores all three (its
+    per-sample interpretation *is* the point).
     """
     if not isinstance(test, str):
         return test
@@ -63,7 +60,6 @@ def make_tester(
             alpha=alpha,
             dof_adjust=dof_adjust,
             stats_cache=stats_cache,
-            encoded=encoded,
             arena=arena,
             batch_groups=batch_groups,
         )
@@ -73,7 +69,6 @@ def make_tester(
             alpha=alpha,
             dof_adjust=dof_adjust,
             stats_cache=stats_cache,
-            encoded=encoded,
             arena=arena,
             batch_groups=batch_groups,
         )
@@ -83,7 +78,6 @@ def make_tester(
             alpha=alpha,
             dof_adjust=dof_adjust,
             stats_cache=stats_cache,
-            encoded=encoded,
             arena=arena,
             batch_groups=batch_groups,
         )
@@ -206,16 +200,7 @@ def learn_structure(
         # a time, like the reference implementations they stand in for:
         # an endpoint-pair memo or the fused cross-edge kernel would
         # erase part of the contrast under study.
-        from ..datasets.encoded import EncodedDataset
-
-        tester = make_tester(
-            dataset,
-            test,
-            alpha=alpha,
-            dof_adjust=dof_adjust,
-            encoded=EncodedDataset(dataset, max_xy_entries=0),
-            batch_groups=False,
-        )
+        tester = make_tester(dataset, test, alpha=alpha, dof_adjust=dof_adjust, batch_groups=False)
 
     t0 = time.perf_counter()
     if n_jobs == 1:
@@ -243,7 +228,7 @@ def learn_structure(
             test=test if isinstance(test, str) else "g2",
             dof_adjust=dof_adjust,
             recorder=recorder,
-            memoize_encodings=method == "fast-bns",
+            batch_groups=method == "fast-bns",
             use_shm=use_shm,
         )
     t1 = time.perf_counter()

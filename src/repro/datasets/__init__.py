@@ -6,10 +6,6 @@ Layers, bottom-up (each documented in its module):
   data in either storage layout (variable-major is the paper's
   cache-friendly layout; sample-major is the baseline regime the paper
   criticises — the contrast is itself an experiment);
-* :class:`EncodedDataset` (:mod:`.encoded`) — memoizes the derived
-  artefacts the CI tests need (endpoint-pair codes, and a narrow column
-  matrix when the kernel cannot read the values in place) once per
-  dataset, shared by testers, sessions and worker threads;
 * the **shared-memory dataset plane** (:mod:`.shm`) — publishes a
   dataset's own values (same dtype, same layout) into
   ``multiprocessing.shared_memory`` so process workers attach zero-copy
@@ -33,7 +29,6 @@ memory/start-up cost.
 
 from .bif import load_bif, parse_bif, write_bif
 from .dataset import DiscreteDataset, smallest_uint_dtype
-from .encoded import EncodedDataset
 from .io import CategoricalCodec, read_codes_csv, read_csv, train_test_split, write_csv
 from .sampling import forward_sample
 from .shm import ShmExport, ShmRawHandle, shared_memory_available
@@ -41,7 +36,6 @@ from .shm import ShmExport, ShmRawHandle, shared_memory_available
 __all__ = [
     # containers & encodings
     "DiscreteDataset",
-    "EncodedDataset",
     "smallest_uint_dtype",
     # shared-memory dataset plane
     "ShmExport",

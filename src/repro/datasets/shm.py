@@ -161,26 +161,24 @@ class ShmRawHandle:
 
 
 class ShmExport:
-    """Creator-side owner of the exported blocks.
+    """Creator-side owner of the exported block.
 
     ``close()`` (idempotent) releases the creator mapping and unlinks the
-    segments; a ``weakref.finalize`` does the same if the owner is dropped
+    segment; a ``weakref.finalize`` does the same if the owner is dropped
     without closing, so crashes cannot leak ``/dev/shm``.
     """
 
-    def __init__(
-        self, handle: ShmRawHandle, blocks: list[shared_memory.SharedMemory]
-    ) -> None:
+    def __init__(self, handle: ShmRawHandle, block: shared_memory.SharedMemory) -> None:
         self.handle = handle
-        self._blocks = blocks
-        self._finalizer = weakref.finalize(self, _close_blocks, blocks, True)
+        self._block = block
+        self._finalizer = weakref.finalize(self, _close_block, block, True)
 
     @property
     def closed(self) -> bool:
         return not self._finalizer.alive
 
     def close(self) -> None:
-        """Release the creator mapping and unlink the segments."""
+        """Release the creator mapping and unlink the segment."""
         self._finalizer()
 
     def __enter__(self) -> "ShmExport":
@@ -192,7 +190,7 @@ class ShmExport:
     def __getstate__(self):
         # SharedMemory pickles by *name*: an unpickled copy would attach
         # in the child and its __del__ could unmap/unlink the creator's
-        # live segments.  Only the handle may cross process boundaries.
+        # live segment.  Only the handle may cross process boundaries.
         raise TypeError("ShmExport is process-local; ship ShmExport.handle instead")
 
     def __repr__(self) -> str:
@@ -201,27 +199,27 @@ class ShmExport:
 
 
 class AttachedBlocks:
-    """Attacher-side holder keeping the mapped blocks alive.
+    """Attacher-side holder keeping the mapped block alive.
 
-    The values of an attached dataset are a view into these mappings, and
-    ``SharedMemory.__del__`` *unmaps* them — numpy holds only an object
+    The values of an attached dataset are a view into this mapping, and
+    ``SharedMemory.__del__`` *unmaps* it — numpy holds only an object
     reference to the mmap, not a buffer export, so garbage-collecting the
-    blocks would pull physical pages out from under live arrays.  The
+    block would pull physical pages out from under live arrays.  The
     holder is therefore pinned on the attached dataset itself, and must
     not be closed while any view is in use.  ``close()`` never unlinks —
     that is the creator's job.
     """
 
-    def __init__(self, blocks: list[shared_memory.SharedMemory]) -> None:
-        self._blocks = blocks
+    def __init__(self, block: shared_memory.SharedMemory) -> None:
+        self._block: shared_memory.SharedMemory | None = block
 
     def close(self) -> None:
-        for block in self._blocks:
+        if self._block is not None:
             try:
-                block.close()
+                self._block.close()
             except BufferError:  # a live view still pins the mapping
                 pass
-        self._blocks = []
+            self._block = None
 
     def __getstate__(self):
         # See ShmExport.__getstate__: a pickled copy's __del__ would
@@ -229,30 +227,31 @@ class AttachedBlocks:
         raise TypeError("AttachedBlocks is process-local; re-attach from the handle instead")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"AttachedBlocks(n={len(self._blocks)})"
+        state = "closed" if self._block is None else repr(self._block.name)
+        return f"AttachedBlocks({state})"
 
 
-def _close_blocks(blocks: list[shared_memory.SharedMemory], unlink: bool) -> None:
-    for block in blocks:
+def _close_block(block: shared_memory.SharedMemory, unlink: bool) -> None:
+    try:
+        block.close()
+    except BufferError:  # pragma: no cover - creator views are transient
+        pass
+    if unlink:
         try:
-            block.close()
-        except BufferError:  # pragma: no cover - creator views are transient
+            block.unlink()
+        except FileNotFoundError:  # pragma: no cover - already gone
             pass
-        if unlink:
-            try:
-                block.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
 
 
-def _apply_transport_policy(export_fn, use_shm: bool | None):
-    """The one shm-vs-pickled transport policy, shared by every pool.
+def try_export_dataset(
+    dataset: DiscreteDataset, use_shm: bool | None = None
+) -> ShmExport | None:
+    """The one shm-vs-pickled transport policy: the
+    :func:`export_dataset` export, or ``None`` for pickled shipping.
 
     ``None`` (auto) attempts the export and returns ``None`` on platform
     failures (the caller then ships the dataset pickled); ``True``
-    requires it (errors surface); ``False`` never exports.  Keeping the
-    policy here stops the worker pools from growing divergent fallback
-    rules.
+    requires it (errors surface); ``False`` never exports.
 
     Fault site ``"shm.export"`` fires before each attempt, so drills can
     fake ``/dev/shm`` exhaustion and exercise both fallback and surfaced
@@ -260,25 +259,15 @@ def _apply_transport_policy(export_fn, use_shm: bool | None):
     """
     if use_shm is False:
         return None
+    from ..engine.faults import injector
 
-    def _attempt():
-        from ..engine.faults import injector
-
-        injector.fire("shm.export")
-        return export_fn()
-
-    if use_shm:
-        return _attempt()
     try:
-        return _attempt()
+        injector.fire("shm.export")
+        return export_dataset(dataset)
     except (OSError, PermissionError, ValueError):
+        if use_shm:
+            raise
         return None
-
-
-def try_export_dataset(dataset: DiscreteDataset, use_shm: bool | None = None):
-    """Transport policy (see :func:`_apply_transport_policy`) over
-    :func:`export_dataset`: the export, or ``None`` for pickled shipping."""
-    return _apply_transport_policy(lambda: export_dataset(dataset), use_shm)
 
 
 def export_dataset(dataset: DiscreteDataset) -> ShmExport:
@@ -295,7 +284,7 @@ def export_dataset(dataset: DiscreteDataset) -> ShmExport:
     try:
         np.ndarray(values.shape, dtype=values.dtype, buffer=block.buf)[...] = values
     except BaseException:
-        _close_blocks([block], unlink=True)
+        _close_block(block, unlink=True)
         raise
     handle = ShmRawHandle(
         values_block=block.name,
@@ -306,7 +295,7 @@ def export_dataset(dataset: DiscreteDataset) -> ShmExport:
         arities=tuple(int(a) for a in dataset.arities),
         names=dataset.names,
     )
-    return ShmExport(handle, [block])
+    return ShmExport(handle, block)
 
 
 def attach_dataset(handle: ShmRawHandle) -> DiscreteDataset:
@@ -336,7 +325,7 @@ def attach_dataset(handle: ShmRawHandle) -> DiscreteDataset:
             handle.names,
         )
     except BaseException:
-        _close_blocks([block], unlink=False)
+        _close_block(block, unlink=False)
         raise
-    object.__setattr__(dataset, "_shm_holder", AttachedBlocks([block]))
+    object.__setattr__(dataset, "_shm_holder", AttachedBlocks(block))
     return dataset

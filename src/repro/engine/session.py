@@ -3,7 +3,7 @@
 A :class:`LearningSession` turns structure learning from a one-shot script
 into a long-lived service object.  It owns, for exactly one dataset:
 
-* the encoded :class:`~repro.datasets.dataset.DiscreteDataset` (coerced to
+* the integer-coded :class:`~repro.datasets.dataset.DiscreteDataset` (coerced to
   the Fast-BNS variable-major layout once, up front);
 * one :class:`~repro.engine.statscache.SufficientStatsCache` shared by
   every tester the session hands out — a ``relearn(alpha=...)`` or a
@@ -46,7 +46,6 @@ from ..core.orientation import orient_skeleton
 from ..core.result import LearnResult
 from ..core.skeleton import learn_skeleton
 from ..datasets.dataset import DiscreteDataset
-from ..datasets.encoded import EncodedDataset
 from .fingerprint import (
     dataset_fingerprint,
     engine_config_fingerprint,
@@ -80,7 +79,7 @@ class LearningSession:
         synchronisation, mirroring the paper's no-atomics property).
     use_shm:
         Dataset transport for process workers: ``None`` (default) attaches
-        them to the session's encoding layer through the zero-copy
+        them to the session's dataset through the zero-copy
         shared-memory plane when available, falling back to pickling;
         ``True`` requires the plane, ``False`` forces the pickled path.
         Bit-identical results either way.
@@ -146,9 +145,6 @@ class LearningSession:
             # spill tier is namespaced by it.
             spill = self.store.spill_tier(self.fingerprint)
         self.cache = SufficientStatsCache(max_bytes=cache_bytes, spill=spill)
-        # One encoding layer shared by every tester the session hands out:
-        # endpoint pairs are encoded once per dataset, not once per tester.
-        self.encoded = EncodedDataset(self.dataset)
         self._testers: dict[tuple[str, float, str], ConditionalIndependenceTest] = {}
         self._pool = None
         self._closed = False
@@ -225,7 +221,6 @@ class LearningSession:
                 alpha=key[1],
                 dof_adjust=key[2],
                 stats_cache=self.cache,
-                encoded=self.encoded,
             )
             self._testers[key] = tester
         return tester

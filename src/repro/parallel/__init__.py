@@ -55,16 +55,16 @@ def run_parallel_skeleton(
     test: str = "g2",
     dof_adjust: str = "structural",
     recorder: TraceRecorder | None = None,
-    memoize_encodings: bool = True,
+    batch_groups: bool = True,
     use_shm: bool | None = None,
 ) -> tuple[UndirectedGraph, SepSetStore, SkeletonStats]:
     """Dispatch the skeleton phase to the requested parallel granularity.
 
     Workers build their own testers; pass the same
     ``test``/``alpha``/``dof_adjust`` the sequential run would use.
-    ``memoize_encodings=False`` is the baseline regime: every worker's
-    tester re-derives encodings per test and runs the looped per-set path
-    (mirrors the sequential baselines in
+    ``batch_groups=False`` is the baseline regime: every worker's tester
+    re-derives the endpoint codes per test and runs the looped per-set
+    path (mirrors the sequential baselines in
     :func:`repro.core.learn.learn_structure`).
     ``gs`` accepts a fixed size, ``"auto"`` or a scheduler (CI-level only);
     ``use_shm`` is forwarded to the :class:`WorkerPool` dataset transport.
@@ -103,7 +103,7 @@ def run_parallel_skeleton(
         test=test,
         alpha=alpha,
         dof_adjust=dof_adjust,
-        memoize_encodings=memoize_encodings,
+        batch_groups=batch_groups,
         use_shm=use_shm,
         arena_hint=arena_hint,
     ) as workers:

@@ -84,29 +84,18 @@ def _new_arena(arena_hint: dict | None):
     return arena
 
 
-def _worker_encoded(dataset: DiscreteDataset, memoize_encodings: bool):
-    """The encoding layer of a worker's tester (no endpoint-pair memo in
-    the baseline regime)."""
-    from ..datasets.encoded import DEFAULT_MAX_XY_ENTRIES, EncodedDataset
-
-    return EncodedDataset(
-        dataset, max_xy_entries=DEFAULT_MAX_XY_ENTRIES if memoize_encodings else 0
-    )
-
-
 def _make_worker_tester(
     dataset: DiscreteDataset,
-    encoded,
     arena,
     test: str,
     alpha: float,
     dof_adjust: str,
     cache_bytes: int | None,
-    memoize_encodings: bool,
+    batch_groups: bool,
 ) -> ConditionalIndependenceTest:
     """One worker's tester, with its own stats cache when ``cache_bytes``
-    is set; ``encoded`` may be shared, ``arena`` may not.  The baseline
-    regime (``memoize_encodings=False``) gets the looped per-set path, as
+    is set and its own ``arena``.  The baseline regime
+    (``batch_groups=False``) gets the looped per-set path, as
     :func:`~repro.core.learn.learn_structure` gives the sequential
     baselines."""
     from ..core.learn import make_tester
@@ -118,7 +107,7 @@ def _make_worker_tester(
         stats_cache = SufficientStatsCache(max_bytes=cache_bytes)
     return make_tester(
         dataset, test, alpha=alpha, dof_adjust=dof_adjust, stats_cache=stats_cache,
-        encoded=encoded, arena=arena, batch_groups=memoize_encodings,
+        arena=arena, batch_groups=batch_groups,
     )
 
 
@@ -128,7 +117,7 @@ def _init_worker(
     alpha: float,
     dof_adjust: str,
     cache_bytes: int | None,
-    memoize_encodings: bool,
+    batch_groups: bool,
     arena_hint: dict | None,
 ) -> None:
     """Process-worker initializer.  ``source`` is the pickled (or, under
@@ -140,14 +129,7 @@ def _init_worker(
     dataset = attach_dataset(source) if isinstance(source, ShmRawHandle) else source
     _WORKER_ARENA = _new_arena(arena_hint)
     _WORKER_TESTER = _make_worker_tester(
-        dataset,
-        _worker_encoded(dataset, memoize_encodings),
-        _WORKER_ARENA,
-        test,
-        alpha,
-        dof_adjust,
-        cache_bytes,
-        memoize_encodings,
+        dataset, _WORKER_ARENA, test, alpha, dof_adjust, cache_bytes, batch_groups
     )
 
 
@@ -208,17 +190,19 @@ def _read_private_kb() -> int | None:
 
 
 def _worker_warm() -> dict:
-    """Touch the column matrix the kernel reads and report this worker's
+    """Touch the array the kernel reads and report this worker's
     footprint.
 
-    Faults the kernel's columns fully in (a shm attacher maps the shared
-    block; a pickled-path worker its private copy), so post-warm
-    footprints compare like for like.  ``reads_shared_block`` says
-    whether those columns are the attached shared-memory block itself.
+    Faults that array fully in (a shm attacher maps the shared block; a
+    pickled-path worker its private copy), so post-warm footprints
+    compare like for like: the fused kernel's column matrix, or for a
+    looped (baseline) tester the dataset's own values, so warming builds
+    no column copy that tester never reads.  ``reads_shared_block`` says
+    whether that array is the attached shared-memory block itself.
     """
     assert _WORKER_TESTER is not None, "worker not initialised"
     dataset = _WORKER_TESTER.dataset
-    cols = _WORKER_TESTER._columns()
+    cols = _WORKER_TESTER._columns() if _WORKER_TESTER.batch_groups else dataset.values
     attached = getattr(dataset, "_shm_holder", None) is not None
     return {
         "worker_pid": os.getpid(),
@@ -273,14 +257,13 @@ class WorkerPool:
     ``process`` backend: module-level worker functions with per-process
     testers (zero shared state).  ``thread`` backend: closures over
     thread-local testers built lazily per worker thread (the dataset arrays
-    and one encoding layer are shared read-only, as OpenMP threads would
-    share them).
+    are shared read-only, as OpenMP threads would share them).
 
     ``cache_bytes`` gives each worker a byte-budgeted sufficient-statistics
     cache (see module docstring); ``None`` keeps the seed behaviour.
-    ``memoize_encodings=False`` is the baseline regime: every worker's
-    tester keeps no endpoint-pair memo and runs the looped per-set path,
-    like its sequential counterpart.
+    ``batch_groups=False`` is the baseline regime: every worker's tester
+    runs the looped per-set path and keeps no endpoint codes, like its
+    sequential counterpart.
 
     ``use_shm`` controls the zero-copy plane: ``None`` (default) uses it
     whenever the backend is ``process`` and the platform provides working
@@ -300,7 +283,7 @@ class WorkerPool:
         alpha: float = 0.05,
         dof_adjust: str = "structural",
         cache_bytes: int | None = None,
-        memoize_encodings: bool = True,
+        batch_groups: bool = True,
         use_shm: bool | None = None,
         start_method: str | None = None,
         arena_hint: dict | None = None,
@@ -338,7 +321,7 @@ class WorkerPool:
                 mp_context=ctx,
                 initializer=_init_worker,
                 initargs=(
-                    source, test, alpha, dof_adjust, cache_bytes, memoize_encodings, arena_hint,
+                    source, test, alpha, dof_adjust, cache_bytes, batch_groups, arena_hint,
                 ),
             )
             self._eval_group_chunk_fn = _eval_group_chunk
@@ -348,15 +331,14 @@ class WorkerPool:
             import threading
 
             local = threading.local()
-            shared_encoded = _worker_encoded(dataset, memoize_encodings)
 
             def tester() -> ConditionalIndependenceTest:
                 if not hasattr(local, "tester"):
                     # One arena per worker thread: arenas recycle buffers
                     # and are not safe to share across concurrent kernels.
                     local.tester = _make_worker_tester(
-                        dataset, shared_encoded, _new_arena(arena_hint), test, alpha,
-                        dof_adjust, cache_bytes, memoize_encodings,
+                        dataset, _new_arena(arena_hint), test, alpha, dof_adjust,
+                        cache_bytes, batch_groups,
                     )
                 return local.tester
 

@@ -34,7 +34,6 @@ from ..core.sepsets import SepSetStore
 from ..core.skeleton import learn_skeleton
 from ..core.trace import TraceRecorder
 from ..datasets.dataset import DiscreteDataset
-from ..datasets.encoded import EncodedDataset
 from ..graphs.undirected import UndirectedGraph
 from .backends import WorkerPool
 
@@ -78,15 +77,9 @@ class SampleSlicedG2Test(GSquareTest):
         alpha: float = 0.05,
         dof_adjust: str = "structural",
     ) -> None:
-        # No endpoint-pair memo: slices count their own endpoint codes, so
-        # a memo would only hold one unread m-length array per pair.
-        super().__init__(
-            dataset,
-            alpha=alpha,
-            dof_adjust=dof_adjust,
-            encoded=EncodedDataset(dataset, max_xy_entries=0),
-            batch_groups=False,
-        )
+        # Looped, so no endpoint codes are kept: slices count their own,
+        # and a memo would only hold one unread m-length array per pair.
+        super().__init__(dataset, alpha=alpha, dof_adjust=dof_adjust, batch_groups=False)
         self.workers = workers
 
     def _table(self, x, y, s, rx, ry, xy_codes):

@@ -21,7 +21,6 @@ from repro.citests.gsquare import GSquareTest
 from repro.citests.mutual_info import MutualInformationTest
 from repro.citests.native import native_available
 from repro.datasets.dataset import DiscreteDataset
-from repro.datasets.encoded import EncodedDataset
 from repro.engine.statscache import SufficientStatsCache
 
 TESTERS = [GSquareTest, ChiSquareTest, MutualInformationTest]
@@ -214,18 +213,6 @@ class TestBatchedMatchesLooped:
             assert counts.base is None
             assert entry.nbytes == counts.nbytes
 
-    def test_shared_encoded_layer_changes_nothing(self, asia_data):
-        shared = EncodedDataset(asia_data)
-        with_shared = GSquareTest(asia_data, encoded=shared)
-        private = GSquareTest(asia_data)
-        for x, y, sets in GROUPS:
-            _assert_results_identical(
-                with_shared.test_group(x, y, sets), private.test_group(x, y, sets)
-            )
-        _assert_counters_identical(with_shared.counters, private.counters)
-        # The fused kernel reads the columns: no endpoint codes are built.
-        assert shared.stats()["n_xy"] == 0
-
     def test_skeleton_bit_identical(self, asia_data):
         from repro.core.skeleton import learn_skeleton
 
@@ -242,6 +229,62 @@ class TestBatchedMatchesLooped:
 # ---------------------------------------------------------------------- #
 # kernel-level equivalence (tables, not statistics)
 # ---------------------------------------------------------------------- #
+class TestEndpointSlot:
+    """An uncached fused tester keeps the endpoint codes of the last pair
+    it encoded; looped and cached testers keep none."""
+
+    def test_repeat_pair_encodes_once(self, asia_data):
+        t = GSquareTest(asia_data)
+        t.test(0, 1, (2,))
+        slot = t._xy_slot
+        assert slot[:2] == (0, 1)
+        want = asia_data.column(0).astype(np.int64) * asia_data.arity(1) + asia_data.column(1)
+        np.testing.assert_array_equal(slot[2], want)
+        assert not slot[2].flags.writeable
+        t.test(0, 1, (3,))
+        t.test_group(0, 1, [(4,)])  # the looped single-set group call
+        assert t._xy_slot is slot
+
+    def test_new_pair_replaces_the_slot(self, asia_data):
+        t = GSquareTest(asia_data)
+        t.test(0, 1, ())
+        t.test(2, 3, (0,))
+        assert t._xy_slot[:2] == (2, 3)
+        t.test(1, 0, ())  # ordered: (1, 0) is another pair
+        assert t._xy_slot[:2] == (1, 0)
+
+    @pytest.mark.parametrize("batch, cache", [(False, False), (True, True), (False, True)])
+    def test_looped_and_cached_testers_keep_nothing(self, asia_data, batch, cache):
+        t = _make_tester(GSquareTest, asia_data, batch=batch, cache=cache)
+        for x, y, sets in GROUPS:
+            t.test(x, y, sets[0])
+            t.test_group(x, y, sets)
+            t.test_group(x, y, sets[:1])
+        assert t._xy_slot is None
+
+    @pytest.mark.parametrize("layout", ["variable-major", "sample-major"])
+    def test_results_and_counters_equal_the_looped_oracle(self, asia_data, layout):
+        data = asia_data.with_layout(layout)
+        fused, looped = GSquareTest(data), GSquareTest(data, batch_groups=False)
+        calls = [(x, y, s) for x, y, sets in GROUPS for s in sets]
+        calls += calls[::-1]  # pair repeats, slot hits and replacements
+        for x, y, s in calls:
+            _assert_results_identical([fused.test(x, y, s)], [looped.test(x, y, s)])
+        for x, y, sets in GROUPS:
+            _assert_results_identical(
+                fused.test_group(x, y, sets[:1]), looped.test_group(x, y, sets[:1])
+            )
+        _assert_counters_identical(fused.counters, looped.counters)
+
+    def test_columns_copy_for_sample_major_data(self, asia_data):
+        data = asia_data.with_layout("sample-major")
+        cols = GSquareTest(data)._columns()
+        assert cols.dtype == np.uint8 and cols.flags.c_contiguous
+        assert not cols.flags.writeable and not np.shares_memory(cols, data.values)
+        for i in range(data.n_variables):
+            np.testing.assert_array_equal(cols[i], data.column(i))
+
+
 class TestColumnCounts:
     @pytest.mark.parametrize("native", [False, True])
     def test_rows_match_per_set_tables(self, rng, native):

@@ -65,6 +65,7 @@ class TestNoDanglingReferences:
         problems: list[str] = []
         check_docs.check_markdown_links(problems)
         check_docs.check_python_citations(problems)
+        check_docs.check_module_references(problems)
         assert problems == []
 
     def test_checker_catches_planted_rot(self, check_docs, tmp_path, monkeypatch):
@@ -81,6 +82,20 @@ class TestNoDanglingReferences:
         check_docs.check_markdown_links(problems)
         check_docs.check_python_citations(problems)
         assert len(problems) == 2
+
+    def test_checker_catches_dangling_module_reference(self, check_docs, tmp_path, monkeypatch):
+        (tmp_path / "README.md").write_text(
+            "| `repro.datasets.DiscreteDataset` | `repro.citests.tablebase` |\n"
+            "| `repro.datasets.no_such_module` | `repro.citests.GSquareTest.no_such_attr` |\n"
+        )
+        monkeypatch.setattr(check_docs, "REPO", tmp_path)
+        problems: list[str] = []
+        check_docs.check_module_references(problems)
+        assert [p.rsplit("-> ", 1)[1] for p in problems] == [
+            "repro.datasets.no_such_module",
+            "repro.citests.GSquareTest.no_such_attr",
+        ]
+        assert all(p.startswith("README.md:2:") for p in problems)
 
 
 class TestPerfTable:

@@ -342,8 +342,8 @@ class TestMultiGroupFusion:
 
     def test_no_codes_survive_a_call(self):
         # The kernel builds every cell index from the columns: a call
-        # leaves only the per-set geometry memo behind, and the encoded
-        # layer holds no conditioning or endpoint codes for dense sets.
+        # leaves only the per-set geometry memo behind, and the endpoint
+        # slot stays empty: no conditioning or endpoint codes for dense sets.
         rng = np.random.default_rng(13)
         ds = _random_dataset(rng)
         groups = _random_groups(rng, ds.n_variables)
@@ -352,7 +352,7 @@ class TestMultiGroupFusion:
         first = [r for res in t.test_groups(groups) for r in res]
         # Variable-major uint8 data is read in place: nothing was derived.
         assert t._columns() is ds.values
-        assert t.encoded.stats() == {"n_xy": 0, "nbytes": 0}
+        assert t._xy_slot is None
         second = [r for res in t.test_groups(groups) for r in res]
         _assert_identical(first, second)
 

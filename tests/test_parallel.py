@@ -187,26 +187,43 @@ class TestSampleLevelIsSequentialEngine:
             assert (got.statistic, got.dof, got.p_value) == (ref.statistic, ref.dof, ref.p_value)
 
 
-def _probe_worker_tester() -> tuple[bool, bool]:
-    """(batch_groups, holds a private column matrix) of this worker."""
+def _probe_worker_tester() -> tuple[bool, bool, bool]:
+    """(batch_groups, holds a private column matrix, holds endpoint codes)
+    of this worker."""
     tester = backends._WORKER_TESTER
-    return tester.batch_groups, tester._cols is not None
+    return tester.batch_groups, tester._cols is not None, tester._xy_slot is not None
 
 
 class TestBaselineWorkers:
-    """``memoize_encodings=False`` workers run the looped baseline kernel,
+    """``batch_groups=False`` workers run the looped baseline kernel,
     like the sequential pc-stable baseline."""
 
     def test_process_workers_get_looped_testers(self, alarm_2000):
         data = alarm_2000.with_layout("sample-major")
-        with WorkerPool(data, 2, memoize_encodings=False) as pool:
+        with WorkerPool(data, 2, batch_groups=False) as pool:
             pool.eval_groups([(u, u + 1, ((), (u + 2,))) for u in range(8)])
+            # Warming touches the values a looped kernel reads and builds
+            # no column matrix it never reads.
+            assert pool.warm_up()
             probes = {pool._executor.submit(_probe_worker_tester).result() for _ in range(4)}
-        assert probes == {(False, False)}
+        assert probes == {(False, False, False)}
 
     def test_fast_bns_workers_keep_fused_kernel(self, asia_data_module):
         with WorkerPool(asia_data_module, 2) as pool:
             assert pool._executor.submit(_probe_worker_tester).result()[0] is True
+
+    def test_sequential_baseline_is_looped(self, asia_data_module, monkeypatch):
+        import repro.core.learn as learn_mod
+
+        make_tester, built = learn_mod.make_tester, []
+
+        def recording_make_tester(*args, **kwargs):
+            built.append(make_tester(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(learn_mod, "make_tester", recording_make_tester)
+        learn_structure(asia_data_module, method="pc-stable")
+        assert [(t.batch_groups, t._xy_slot) for t in built] == [(False, None)]
 
 
 def _counters(res) -> tuple:

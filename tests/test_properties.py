@@ -100,10 +100,9 @@ def test_layout_roundtrip_property(data):
 @settings(max_examples=40, deadline=None)
 def test_layouts_identical_through_batched_kernel(data, draw):
     """Sample-major and variable-major layouts produce bit-identical
-    results through the batched group kernel and a shared
-    :class:`EncodedDataset` (and both equal the looped reference)."""
+    results through the batched group kernel (and both equal the looped
+    reference)."""
     from repro.citests.gsquare import GSquareTest
-    from repro.datasets.encoded import EncodedDataset
 
     rows, arities = data
     n_vars = len(arities)
@@ -119,9 +118,8 @@ def test_layouts_identical_through_batched_kernel(data, draw):
     outcomes = []
     for layout in ("variable-major", "sample-major"):
         ds = DiscreteDataset.from_rows(rows, arities=arities, layout=layout)
-        encoded = EncodedDataset(ds)
         for batch in (True, False):
-            tester = GSquareTest(ds, encoded=encoded, batch_groups=batch)
+            tester = GSquareTest(ds, batch_groups=batch)
             res = tester.test_group(x, y, sets)
             outcomes.append([(r.statistic, r.dof, r.p_value, r.independent) for r in res])
     reference = outcomes[0]

@@ -23,7 +23,6 @@ import pytest
 
 from repro.citests.gsquare import GSquareTest
 from repro.datasets.dataset import DiscreteDataset
-from repro.datasets.encoded import EncodedDataset
 from repro.datasets.shm import attach_dataset, export_dataset, shared_memory_available
 from repro.engine import LearningSession
 from repro.parallel.backends import WorkerPool
@@ -68,9 +67,10 @@ class TestExportAttach:
             np.testing.assert_array_equal(attached.values, small_data.values)
             np.testing.assert_array_equal(attached.arities, small_data.arities)
             # Endpoint codes derived from the attached block equal local ones.
-            np.testing.assert_array_equal(
-                EncodedDataset(attached).xy_codes(5, 6), EncodedDataset(small_data).xy_codes(5, 6)
-            )
+            def xy_codes(ds):
+                return ds.column(5).astype(np.int64) * ds.arity(6) + ds.column(6)
+
+            np.testing.assert_array_equal(xy_codes(attached), xy_codes(small_data))
             del attached
             gc.collect()
 
@@ -189,7 +189,7 @@ class TestWorkersReadInPlace:
 
     def test_sample_major_baseline_pool_keeps_its_layout(self, small_data):
         rotated = small_data.with_layout("sample-major")
-        with WorkerPool(rotated, 2, use_shm=True, memoize_encodings=False) as pool:
+        with WorkerPool(rotated, 2, use_shm=True, batch_groups=False) as pool:
             assert pool.uses_shm
             assert pool._executor.submit(_worker_dataset_view).result() == (
                 "sample-major",
