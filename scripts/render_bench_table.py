@@ -44,6 +44,17 @@ def _row_engine_throughput(doc: dict) -> tuple[str, str]:
     )
 
 
+def _row_cold_tax(doc: dict) -> tuple[str, str]:
+    return (
+        f"cold skeleton learn with vs without a fresh stats cache "
+        f"({doc['network']}-{doc['n_samples']}, gs={doc['gs']}, "
+        f"{len(doc['seeds'])} seeds x {doc['pairs_per_seed']} pairs)",
+        f"{_fmt(doc['median_ratio'], 3)}× cold tax (pair IQR "
+        f"{_fmt(doc['ratio_q1'], 3)}–{_fmt(doc['ratio_q3'], 3)}, "
+        f"gate {_fmt(doc['max_ratio_gate'])}×)",
+    )
+
+
 def _row_kernel_batching(doc: dict) -> tuple[str, str]:
     per_gs = ", ".join(
         f"gs={gs}: {_fmt(doc['group_sizes'][gs]['speedup'])}×"
@@ -136,6 +147,7 @@ def _row_workload_fairness(doc: dict) -> tuple[str, str]:
 
 
 _SUMMARISERS = {
+    "cold_tax": _row_cold_tax,
     "engine_throughput": _row_engine_throughput,
     "kernel_batching": _row_kernel_batching,
     "server": _row_server,

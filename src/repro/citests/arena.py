@@ -1,9 +1,10 @@
 """Reusable kernel buffer pool (the per-worker *arena*).
 
 The fused group kernel (:mod:`repro.citests.tablebase`) touches a handful
-of large scratch arrays per megagroup build: the stacked cell codes, the
-narrow column-gather buffer, the endpoint-code matrix, and the float64
-statistic scratch of the elementwise reductions.  Allocating them per call
+of large scratch arrays per megagroup build: the wave histogram, the
+stacked cell codes and the narrow column-gather buffer of the NumPy
+path, and the per-cell coordinates, marginals and float64 terms of the
+scoring pass.  Allocating them per call
 dominates small-group workloads (every ``np.empty`` of ``gs * m`` cells is
 a page-faulting malloc at typical sample counts) and defeats the cache
 locality the kernel exists to exploit.
@@ -16,9 +17,8 @@ dtype)`` slot and hands out leading views:
   so amortised O(1) growth events) and is reused by every later take of
   the slot — in steady state no *scratch* buffer is allocated per group
   evaluation (``benchmarks/bench_kernel_batching.py`` asserts zero arena
-  growth events).  The wave histogram is not arena scratch: each wave
-  allocates a fresh int64 one (``np.zeros`` on the native path,
-  ``np.bincount``'s output on the NumPy path), up to 8 MiB;
+  growth events).  The native path's wave histogram is a slot too (up to
+  2 MiB); the NumPy path's is ``np.bincount``'s own output;
 * ``prewarm(hint)`` pre-sizes slots from the adaptive scheduler's live
   bucket mix (:meth:`repro.parallel.adaptive.AdaptiveGroupScheduler.
   arena_hint`), so the first groups of a round do not pay the growth

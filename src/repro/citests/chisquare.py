@@ -18,80 +18,33 @@ from .tablebase import ContingencyTableTest
 __all__ = ["ChiSquareTest"]
 
 
-def _x2_elementwise(
-    counts: np.ndarray, scratch=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-cell X^2 terms of a ``(..., nz, rx, ry)`` count array.
+def _x2_elementwise(counts, n_xz, n_yz, n_z, out) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell X^2 terms from each cell's count and marginals.
 
-    Returns ``(terms, mask, n_z)``; ``terms`` sums to the statistic over
-    the ``E > 0`` cells marked by ``mask``.  Shared by the looped and the
-    fused paths (bit-identical cell for cell).  With ``scratch`` the large
-    intermediates come from reused arena buffers — same ufuncs over the
-    same operands, so the values match the allocating form bit for bit; the
-    returned arrays are only valid until the next scratch-backed call.
+    Returns ``(terms, mask)``; ``terms`` sums to the statistic over the
+    ``E > 0`` cells marked by ``mask``.  Called with broadcast marginals by
+    the looped oracle and with gathered per-cell marginals by the fused
+    path (see :func:`repro.citests.gsquare._g2_elementwise`), so both are
+    bit-identical cell for cell.
     """
-    shape = counts.shape
-    if scratch is None:
-        n_xz = counts.sum(axis=-1, dtype=np.float64)
-        n_yz = counts.sum(axis=-2, dtype=np.float64)
-        n_z = n_xz.sum(axis=-1)
-        observed = counts.astype(np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            expected = n_xz[..., :, None] * n_yz[..., None, :] / n_z[..., None, None]
-        mask = expected > 0
-        diff = np.where(mask, observed - expected, 0.0)
-        denom = np.where(mask, expected, 1.0)
-        terms = diff * diff / denom
-        return terms, mask, n_z
-    n_xz = counts.sum(axis=-1, dtype=np.float64, out=scratch.f64("nxz", shape[:-1]))
-    n_yz = counts.sum(
-        axis=-2, dtype=np.float64, out=scratch.f64("nyz", shape[:-2] + shape[-1:])
-    )
-    n_z = n_xz.sum(axis=-1, out=scratch.f64("nz", shape[:-2]))
-    # The integer counts serve as ``observed`` directly: the subtraction
-    # promotes them to float64 element by element, exactly the values the
-    # looped branch's materialised float copy would feed it.
-    observed = counts
-    expected = np.multiply(
-        n_xz[..., :, None], n_yz[..., None, :], out=scratch.f64("exp", shape)
-    )
+    expected = np.multiply(n_xz, n_yz, out=out("exp", np.float64))
     with np.errstate(divide="ignore", invalid="ignore"):
-        expected /= n_z[..., None, None]
-    mask = np.greater(expected, 0, out=scratch.bool_("mask", shape))
-    terms = scratch.f64("terms", shape)
+        expected /= n_z
+    mask = np.greater(expected, 0, out=out("mask", np.bool_))
+    terms = out("terms", np.float64)
     terms.fill(0.0)
-    np.subtract(observed, expected, out=terms, where=mask)
+    np.subtract(counts, expected, out=terms, where=mask)
     np.multiply(terms, terms, out=terms)
-    denom = scratch.f64("denom", shape)
-    denom.fill(1.0)
-    np.copyto(denom, expected, where=mask)
-    np.divide(terms, denom, out=terms)
-    return terms, mask, n_z
-
-
-def _x2_from_counts(counts: np.ndarray) -> tuple[float, int, int]:
-    """X^2 statistic from an ``(nz, rx, ry)`` table.
-
-    Returns ``(statistic, n_term_evaluations, n_nonempty_z_slices)``.
-    """
-    terms, mask, n_z = _x2_elementwise(counts)
-    n_nonempty = int(np.count_nonzero(n_z > 0))
-    n_terms = int(np.count_nonzero(mask))
-    stat = float(terms.sum())
-    return stat, n_terms, n_nonempty
+    np.divide(terms, expected, out=terms, where=mask)
+    return terms, mask
 
 
 class ChiSquareTest(ContingencyTableTest):
     """Pearson X^2 CI tester bound to one dataset (same interface as
     :class:`~repro.citests.gsquare.GSquareTest`)."""
 
-    def _stat_from_counts(self, counts: np.ndarray) -> tuple[float, int, int]:
-        return _x2_from_counts(counts)
-
-    def _elementwise(
-        self, stack: np.ndarray, scratch=None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _x2_elementwise(stack, scratch)
+    def _elementwise(self, counts, n_xz, n_yz, n_z, out) -> tuple[np.ndarray, np.ndarray]:
+        return _x2_elementwise(counts, n_xz, n_yz, n_z, out)
 
     def _finalize_stats(self, sums: np.ndarray) -> np.ndarray:
         return np.asarray(sums, dtype=np.float64)

@@ -273,20 +273,24 @@ def column_counts(
     every cell index (``int32`` or ``int64``), on the NumPy path every
     row-local code ``cell - offsets[r]`` (any integer dtype — the narrower,
     the less memory traffic).  ``arena`` (a
-    :class:`~repro.citests.arena.KernelArena`) supplies the NumPy path's
-    scratch; ``use_native`` allows the native loop when a backend is
-    available and handles ``cols.dtype``.
+    :class:`~repro.citests.arena.KernelArena`) supplies the scratch: the
+    native path's histogram (its ``"hist"`` slot, so the returned array is
+    only valid until that slot is taken again — callers copy out what they
+    keep) and the NumPy path's code buffers, whose histogram is
+    ``np.bincount``'s own output.  ``use_native`` allows the native loop
+    when a backend is available and handles ``cols.dtype``.
     """
-    if use_native:
-        from .native import native_column_counts
-
-        out = np.zeros(int(total), dtype=np.int64)
-        if native_column_counts(cols, ptr, vars_, strides, offsets, out, code_dtype):
-            return out
     if arena is None:
         from .arena import KernelArena
 
         arena = KernelArena()
+    if use_native:
+        from .native import native_column_counts
+
+        out = arena.take("hist", (int(total),), np.int64)
+        out.fill(0)
+        if native_column_counts(cols, ptr, vars_, strides, offsets, out, code_dtype):
+            return out
     n, m = offsets.shape[0], cols.shape[1]
     k = np.diff(ptr)
     # Rows in non-increasing column count: at position j the rows that

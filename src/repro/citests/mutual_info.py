@@ -65,6 +65,16 @@ class MutualInformationTest:
         (worker stats probes) sees through the MI wrapper."""
         return self._g2._builder
 
+    @property
+    def batch_groups(self) -> bool:
+        """The inner G^2 tester's regime (fused or looped)."""
+        return self._g2.batch_groups
+
+    def _columns(self):
+        """The column matrix the inner G^2 tester's kernel reads (worker
+        warm-up touches it through the wrapper)."""
+        return self._g2._columns()
+
     def mutual_information(self, x: int, y: int, s: Sequence[int]) -> float:
         """Empirical conditional mutual information in nats."""
         res = self._g2.test(x, y, s)

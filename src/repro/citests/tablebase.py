@@ -24,10 +24,15 @@ Two group-evaluation paths, bit-identical by construction and by test:
     the wave in one pass over the variable-major columns (the native loop
     of :mod:`repro.citests.native`, or per-column gathers and one
     ``np.bincount``); no cell codes are stored between calls;
-  - sets are bucketed by exact table shape ``(rx, ry, nz)`` for the
-    statistic stage: per bucket, one stacked elementwise pass into arena
-    scratch and one contiguous-row reduction per set (the same value
-    sequence the looped path reduces, so the float sums are bit-identical);
+  - one flat pass scores the whole wave, whatever its mix of table
+    shapes: every cell's marginals ``N_x+z``, ``N_+yz``, ``N_++z`` are
+    segment sums of integer counts (exact in float64 in any order)
+    gathered back to the cell, and the statistic's per-cell formula — the
+    one the looped path applies with broadcast marginals — runs once over
+    all cells into arena scratch.  Tables sit back to back in span order,
+    so each run of equal-span sets is one contiguous ``(count, span)``
+    block whose row sums are the value sequences the looped path reduces:
+    the float sums are bit-identical;
   - one ``gammaincc`` call covers the whole wave.
 
   ``test_group`` is the single-group spelling of the same engine.
@@ -41,12 +46,11 @@ Two group-evaluation paths, bit-identical by construction and by test:
     resident entries without recency or counter changes.  An entry whose
     score memo is of this tester's kind (statistic class and
     ``dof_adjust``) answers its set right here, deciding ``p > alpha``
-    fresh: the set takes no wave slot, no copy-in and no elementwise
-    pass;
+    fresh: the set takes no wave slot, no copy-in and no scoring;
   - **build** evaluates every other planned set — absent tables from the
     columns, exactly as without a cache; resident dense tables without
-    such a memo are copied into their wave's histogram, so one stacked
-    reduction scores them and fresh builds alike;
+    such a memo are copied into their wave's histogram, so one scoring
+    pass covers them and fresh builds alike;
   - **commit** keeps, per item, either every set or (``prefix=gs``, the
     skeleton's speculative rounds) the groups up to and including the
     first accepting one, and bills only those: work counters (a memo
@@ -65,10 +69,12 @@ and ``chi2_sf``) and writes them when it scores a table.
 
 Kernel scratch lives in a :class:`~repro.citests.arena.KernelArena` (the
 calling thread's process-wide one by default; workers share one per
-process) and is reused from call to call.  The wave histogram is not
-arena scratch: every wave allocates a fresh int64 one (``np.zeros`` on
-the native path, ``np.bincount``'s output on the NumPy path), up to
-8 MiB at ``_MAX_WAVE_CELLS``.
+process) and is reused from call to call: the native path's wave
+histogram (up to 2 MiB at ``_MAX_WAVE_CELLS``) and every cell-sized
+buffer of the scoring pass included.  Tables the stats cache keeps are
+copied out of the histogram before the call returns.  Only the NumPy
+path's histogram is a fresh array per wave (``np.bincount``'s output),
+next to the small per-segment marginal sums.
 
 Work-counter accounting is identical in both paths and with or without a
 cache: a table hit reads no data; any other test reads its ``d``
@@ -83,7 +89,8 @@ implementation detail.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from itertools import chain, repeat
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 from scipy.special import gammaincc
@@ -94,19 +101,23 @@ from .base import CITestCounters, CITestResult
 from .contingency import ci_counts, column_counts, n_configurations
 from .native import native_available
 
-__all__ = ["ContingencyTableTest", "chi2_sf", "chi2_sf_array", "wave_arena_hint"]
+__all__ = ["ContingencyTableTest", "chi2_sf", "chi2_sf_array", "memo_kind", "wave_arena_hint"]
 
 _UINT8_LIMIT = np.iinfo(np.uint8).max
 _UINT16_LIMIT = np.iinfo(np.uint16).max
 _INT32_LIMIT = np.iinfo(np.int32).max
 
 #: Wave caps: one fused build is bounded both in histogram cells (the
-#: bincount output the statistic stage walks) and in row samples
-#: (``n_rows * m``, the NumPy path's per-wave code buffers), so
-#: arbitrarily large work items stream through the arena in bounded
-#: memory instead of sizing it to the whole chunk.
-_MAX_WAVE_CELLS = 1 << 20
+#: scoring pass keeps about a dozen cell-sized arena buffers, ~80 bytes
+#: per cell, so ~21 MiB at this cap) and in row samples (``n_rows * m``,
+#: the NumPy path's per-wave code buffers), so arbitrarily large work
+#: items stream through the arena in bounded memory instead of sizing it
+#: to the whole chunk.
+_MAX_WAVE_CELLS = 1 << 18
 _MAX_WAVE_CODES = 1 << 20
+
+#: Layout order of a wave's tables (``_build_wave``).
+_CELLS = attrgetter("cells")
 
 
 def _cell_dtype(limit: int, narrow: bool) -> np.dtype:
@@ -146,6 +157,13 @@ def wave_arena_hint(n_rows: int, n_samples: int) -> dict:
     return {"codes": (n, np.dtype(np.intp).str)}
 
 
+def memo_kind(cls: type, dof_adjust: str) -> str:
+    """The stats-cache score-memo kind of ``cls`` testers under
+    ``dof_adjust``: a string, so that a memo holds only atoms (see
+    :mod:`repro.engine.statscache`)."""
+    return f"{cls.__module__}.{cls.__qualname__}/{dof_adjust}"
+
+
 def chi2_sf(stat: float, dof: float) -> float:
     """Chi-squared survival function without ``scipy.stats`` dispatch."""
     if dof <= 0:
@@ -165,26 +183,6 @@ def chi2_sf_array(stats: np.ndarray, dofs: np.ndarray) -> np.ndarray:
         return gammaincc(dofs / 2.0, halved)
     safe = np.where(positive, dofs, 1.0)
     return np.where(positive, gammaincc(safe / 2.0, halved), 1.0)
-
-
-class _Scratch:
-    """Arena adapter handed to the ``_elementwise`` hooks.
-
-    Each key names one reusable float64/bool slot; views are valid until
-    the same key is taken again (the engine consumes every bucket's terms
-    before starting the next).
-    """
-
-    __slots__ = ("_arena",)
-
-    def __init__(self, arena: KernelArena) -> None:
-        self._arena = arena
-
-    def f64(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
-        return self._arena.take("ew_" + key, shape, np.float64)
-
-    def bool_(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
-        return self._arena.take("ew_" + key, shape, np.bool_)
 
 
 class _Job:
@@ -235,34 +233,19 @@ def _set_geometry(s: tuple[int, ...], arities: list[int]) -> tuple[list[int], in
     return rz, n_configurations(rz), tuple(place)
 
 
-def _runs(jobs: list[_Job]) -> list[tuple[int, int, int]]:
-    """``(start, stop, group)`` spans of consecutive jobs of one group."""
-    runs = []
-    b, n = 0, len(jobs)
-    while b < n:
-        g = jobs[b].g
-        c = b + 1
-        while c < n and jobs[c].g == g:
-            c += 1
-        runs.append((b, c, g))
-        b = c
-    return runs
-
-
 class ContingencyTableTest:
     """Base of the table-driven CI testers (see module docstring).
 
     Subclasses provide the statistic:
 
-    * ``_stat_from_counts(counts) -> (stat, n_logs, n_nonempty)`` — looped
-      single-table path;
-    * ``_elementwise(stack, scratch=None) -> (terms, mask, n_z)`` — per-cell
-      statistic terms of a ``(..., nz, rx, ry)`` stack (``terms`` sums to
-      the pre-scaling statistic over cells, ``mask`` marks the cells billed
-      as log/flop work, ``n_z`` are the per-slice totals); when ``scratch``
-      is given, the large intermediates come from its arena slots instead
-      of fresh allocations — same ufuncs over the same values, so the
-      results stay bit-identical;
+    * ``_elementwise(counts, n_xz, n_yz, n_z, out) -> (terms, mask)`` — the
+      per-cell formula: statistic terms of every cell from its count and
+      its three marginals (``terms`` sums to the pre-scaling statistic over
+      a table's cells, ``mask`` marks the cells billed as log/flop work).
+      The looped oracle passes one table with broadcast marginals, the
+      fused path a whole wave with gathered ones; ``out(key, dtype)``
+      supplies each cell-shaped destination (fresh arrays, or arena
+      scratch), so both paths run the same ufuncs over the same values;
     * ``_finalize_stats(sums) -> stats`` — scale/clamp the per-set term
       sums into the statistic (e.g. ``max(2 * s, 0)`` for G^2).
 
@@ -337,7 +320,7 @@ class ContingencyTableTest:
         self._arities = [dataset.arity(v) for v in range(dataset.n_variables)]
         # Stats-cache score memos are shared only between testers of one
         # statistic and one dof rule (statscache module docstring).
-        self._memo_kind = (type(self), dof_adjust)
+        self._memo_kind = memo_kind(type(self), dof_adjust)
         self._builder = None
         if stats_cache is not None:
             from ..engine.statscache import CachedTableBuilder
@@ -399,16 +382,36 @@ class ContingencyTableTest:
     # ------------------------------------------------------------------ #
     # statistic hooks (subclass responsibility)
     # ------------------------------------------------------------------ #
-    def _stat_from_counts(self, counts: np.ndarray) -> tuple[float, int, int]:
-        raise NotImplementedError
-
     def _elementwise(
-        self, stack: np.ndarray, scratch: _Scratch | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self,
+        counts: np.ndarray,
+        n_xz: np.ndarray,
+        n_yz: np.ndarray,
+        n_z: np.ndarray,
+        out: Callable[[str, type], np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def _finalize_stats(self, sums: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _stat_from_counts(self, counts: np.ndarray) -> tuple[float, int, int]:
+        """``(statistic, n_logs, n_nonempty_z_slices)`` of one ``(nz, rx,
+        ry)`` table: the per-cell formula over broadcast marginals (integer
+        sums, exact in float64), then one contiguous sum."""
+        n_xz = counts.sum(axis=-1, dtype=np.float64)
+        n_yz = counts.sum(axis=-2, dtype=np.float64)
+        n_z = n_xz.sum(axis=-1)
+        shape = counts.shape
+        terms, mask = self._elementwise(
+            counts,
+            n_xz[..., :, None],
+            n_yz[..., None, :],
+            n_z[..., None, None],
+            lambda _key, dtype: np.empty(shape, dtype),
+        )
+        stat = float(self._finalize_stats(terms.sum()))
+        return stat, int(np.count_nonzero(mask)), int(np.count_nonzero(n_z > 0))
 
     # ------------------------------------------------------------------ #
     # public API
@@ -514,18 +517,18 @@ class ContingencyTableTest:
         rx, ry = ds.arity(x), ds.arity(y)
 
         from_cache: bool | None = None
-        entry = None
-        if self._builder is not None:
-            counts, nz_structural, from_cache, entry = self._builder.ci_counts(x, y, s)
+        memo: tuple = ()
+        builder = self._builder
+        if builder is not None:
+            counts, nz_structural, from_cache, memo = builder.ci_counts(x, y, s)
         else:
             counts, nz_structural = self._table(x, y, s, rx, ry, xy_codes)
-        memo = None if entry is None else entry.memo
-        if memo is not None and memo[0] == self._memo_kind:
+        if memo and memo[0] == self._memo_kind:
             res, n_logs = self._from_memo(x, y, s, memo), memo[4]
         else:
             res, n_logs = self._score(x, y, s, counts, nz_structural, rx, ry)
-            if entry is not None:
-                entry.memo = self._memo(res, n_logs)
+            if builder is not None:
+                builder.cache.set_memo(builder.table_key(x, y, s), self._memo(res, n_logs))
         self.counters.record(
             depth=len(s),
             m=ds.n_samples,
@@ -608,18 +611,18 @@ class ContingencyTableTest:
         gshape: list[tuple[int, int]] = [(0, 0)] * len(items)
         entries: list[_Job] = []  # dense sets, scored in waves
         loose: list[_Job] = []  # compressed sets, scored one at a time
-        # The job behind every (group, set); on the cache path repeats of
-        # one table key within the call share one (built and scored once).
-        jobs: list[list[_Job]] = []
+        jobs: list[list[_Job]] = []  # the job behind every (group, set)
 
         # -- plan: no side effects on the cache or the counters ---------- #
         # With a cache, resident entries are read without recency or counter
         # effects; commit replays the cache events of the tests that count.
         # A resident entry memoised by this tester's kind answers its test
-        # here: the job is never built or scored.
+        # here: the job is never built or scored.  A table key repeated
+        # within the call is planned (and built) once per occurrence, as
+        # without a cache: the commit turns every repeat into a hit.
         peek = builder.cache.peek if builder is not None else None
+        table_key = builder.table_key if builder is not None else None
         kind = self._memo_kind
-        planned: dict[tuple, _Job] = {}
         for g, (x, y, sets) in enumerate(items):
             ry = ar[y]
             sc = ar[x] * ry
@@ -628,12 +631,6 @@ class ContingencyTableTest:
             row: list[_Job] = []
             jobs.append(row)
             for i, s in enumerate(sets):
-                if builder is not None:
-                    key = builder.table_key(x, y, s)
-                    job = planned.get(key)
-                    if job is not None:
-                        row.append(job)
-                        continue
                 info = set_info.get(s)
                 if info is None:
                     info = set_info[s] = _set_geometry(s, ar)
@@ -642,13 +639,12 @@ class ContingencyTableTest:
                 job = _Job(g, i, s, rz, nz, place, s + pair, nz * sc, dense)
                 row.append(job)
                 if builder is not None:
-                    job.key = key
-                    planned[key] = job
+                    job.key = key = table_key(x, y, s)
                     entry = peek(key)
                     if entry is not None:
-                        job.table = entry.value
-                        memo = entry.memo
-                        if memo is not None and memo[0] == kind:
+                        job.table = entry[0]
+                        memo = entry[3:]
+                        if memo and memo[0] == kind:
                             job.memo, job.logs = memo, memo[4]
                             job.cells = job.table[0].size
                             results[g][i] = self._from_memo(x, y, s, memo)
@@ -657,7 +653,7 @@ class ContingencyTableTest:
 
         # -- build -------------------------------------------------------- #
         if entries:
-            for wave in self._waves(entries, gshape):
+            for wave in self._waves(entries):
                 self._build_wave(wave, items, gshape, results)
         for job in loose:
             x, y, _sets = items[job.g]
@@ -679,11 +675,6 @@ class ContingencyTableTest:
             job.cells = counts.size
             if builder is not None:
                 job.memo = self._memo(res, job.logs)
-        if builder is not None:
-            for g, row in enumerate(jobs):
-                for i, job in enumerate(row):
-                    if job.g != g or job.i != i:
-                        results[g][i] = results[job.g][job.i]
 
         # -- decide the kept prefix of every item ------------------------- #
         if decide is not None:
@@ -738,39 +729,26 @@ class ContingencyTableTest:
             pdt[d] = pdt.get(d, 0) + c
         return results  # type: ignore[return-value]
 
-    def _waves(
-        self, entries: list[_Job], gshape: list[tuple[int, int]]
-    ) -> list[list[_Job]]:
-        """Split the dense jobs into waves under the wave caps (module
-        constants).
+    def _waves(self, entries: list[_Job]) -> list[list[_Job]]:
+        """Split the dense jobs, in plan order, into waves under the wave
+        caps (module constants).
 
-        Shape-major job order (stable, groups stay whole — the shape is a
-        per-group property): each wave then carries only a couple of
-        endpoint-shape slabs, cutting per-slab elementwise dispatches.
-        Per-set results are order-independent (cache events are replayed
-        at commit, in plan order).  A single oversized job still gets a
-        one-job wave — the caps bound steady-state arena footprint, they
-        are not admission control.
+        A wave is scored in one flat pass whatever its mix of table
+        shapes, and per-set results do not depend on which wave a job
+        lands in (cache events are replayed at commit, in plan order).  A
+        single oversized job still gets a one-job wave — the caps bound
+        steady-state arena footprint, they are not admission control.
         """
-        buckets: dict[tuple[int, int], list[_Job]] = {}
-        for e in entries:
-            shp = gshape[e.g]
-            lst = buckets.get(shp)
-            if lst is None:
-                buckets[shp] = [e]
-            else:
-                lst.append(e)
         max_rows = max(_MAX_WAVE_CODES // max(self.dataset.n_samples, 1), 1)
         waves: list[list[_Job]] = []
         wave: list[_Job] = []
         cells = 0
-        for shp in sorted(buckets):
-            for e in buckets[shp]:
-                if wave and (cells + e.cells > _MAX_WAVE_CELLS or len(wave) >= max_rows):
-                    waves.append(wave)
-                    wave, cells = [], 0
-                wave.append(e)
-                cells += e.cells
+        for e in entries:
+            if wave and (cells + e.cells > _MAX_WAVE_CELLS or len(wave) >= max_rows):
+                waves.append(wave)
+                wave, cells = [], 0
+            wave.append(e)
+            cells += e.cells
         if wave:
             waves.append(wave)
         return waves
@@ -784,161 +762,160 @@ class ContingencyTableTest:
     ) -> None:
         """Fused build + statistics for one wave of dense jobs.
 
-        Jobs whose table is already resident in the stats cache (but not
-        memoised by this tester's kind, which the plan answers) take a
-        slot in the wave's histogram like built ones (their table is
-        copied in), so one stacked reduction scores hits and builds alike.
-        With a cache, every job leaves with its score memo.
+        Tables are laid out back to back in span order (``nz * rx * ry``,
+        stable), so every run of equal-span sets is one contiguous block
+        of the histogram.  Jobs whose table is already resident in the
+        stats cache (but not memoised by this tester's kind, which the
+        plan answers) take a slot like built ones (their table is copied
+        in), so one scoring pass covers hits and builds alike.  With a
+        cache, every job leaves with its score memo and every built job
+        with a standalone copy of its table.
         """
         builder = self._builder
         arena = self.arena
-        n = len(wave)
-
-        # -- global histogram layout ------------------------------------- #
-        # Offsets are assigned in (rx, ry, nz)-sorted order: all tables
-        # sharing an endpoint-shape (rx, ry) become one contiguous slab of
-        # z-slices (the statistic terms are per-z-slice computations, so
-        # one elementwise dispatch covers the whole slab regardless of the
-        # nz mix), and within a slab equal-nz runs are contiguous (the
-        # per-set term sums reduce uniform same-length rows, which keeps
-        # them bit-identical to the looped per-table sums).
-        exy = [gshape[e.g] for e in wave]
-        shape_order = [(exy[w][0], exy[w][1], e.nz, w) for w, e in enumerate(wave)]
-        shape_order.sort()
-        scales_l = [0] * n
-        total = 0
-        for rx, ry, nz, w in shape_order:
-            sc = rx * ry
-            scales_l[w] = sc
-            wave[w].offset = total
-            total += nz * sc
-        if builder is None:
-            counts = self._count(wave, scales_l, total, gshape)
-            built = wave
+        lay = sorted(wave, key=_CELLS)
+        geo = np.array([gshape[e.g] + (e.nz,) for e in lay], dtype=np.intp)
+        span = geo[:, 0] * geo[:, 1] * geo[:, 2]
+        off = np.zeros(len(lay), dtype=np.intp)
+        np.cumsum(span[:-1], out=off[1:])
+        total = int(off[-1] + span[-1])
+        for e, o in zip(lay, off.tolist(), strict=True):
+            e.offset = o
+        built = lay if builder is None else [e for e in lay if e.table is None]
+        if built:
+            counts = self._count(built, total, gshape)
         else:
-            built = [e for e in wave if e.table is None]
-            if built:
-                sc_built = [scales_l[w] for w, e in enumerate(wave) if e.table is None]
-                counts = self._count(built, sc_built, total, gshape)
-            else:
-                counts = np.zeros(total, dtype=np.int64)
-            if len(built) < n:
-                for e in wave:
-                    if e.table is not None:
-                        counts[e.offset : e.offset + e.cells] = e.table[0].reshape(-1)
+            counts = arena.take("hist", (total,), np.int64)
+        if len(built) < len(lay):
+            for e in lay:
+                if e.table is not None:
+                    counts[e.offset : e.offset + e.cells] = e.table[0].reshape(-1)
 
-        # -- statistics: one elementwise pass per endpoint shape ---------- #
-        # The terms/marginals of G^2 and X^2 are per-z-slice computations,
-        # so the whole (rx, ry) slab — every set sharing that endpoint
-        # shape, any nz mix — goes through ``_elementwise`` as one stacked
-        # (z_total, rx, ry) array: per-cell values are unchanged by the
-        # stacking, and the axis reductions stay within single z-slices.
-        # Only the per-set aggregations below need exact spans.
-        all_stats = np.empty(n, dtype=np.float64)
-        all_dofs = np.empty(n, dtype=np.float64)
-        all_logs = np.zeros(n, dtype=np.int64)
-        order_arr = np.fromiter((t[3] for t in shape_order), np.intp, n)
-        nz_arr = np.fromiter((t[2] for t in shape_order), np.intp, n)
-        scratch = _Scratch(arena)
-        structural = self.dof_adjust == "structural"
-        i = 0
-        while i < n:
-            rx, ry = shape_order[i][:2]
-            j = i
-            z_total = 0
-            while j < n and shape_order[j][0] == rx and shape_order[j][1] == ry:
-                z_total += shape_order[j][2]
-                j += 1
-            pos = wave[shape_order[i][3]].offset  # slab base (padding-aware)
-            slab = counts[pos : pos + z_total * rx * ry].reshape(z_total, rx, ry)
-            terms, mask, n_z = self._elementwise(slab, scratch)
-            terms_flat = terms.reshape(-1)
-            mask_flat = mask.reshape(-1)
-            # Log billing: integer cell counts are order-independent, so
-            # one segmented reduction per slab bills every set exactly as
-            # the looped path's per-table ``count_nonzero`` would.
-            spans = nz_arr[i:j] * (rx * ry)
-            starts = np.zeros(j - i, dtype=np.intp)
-            np.cumsum(spans[:-1], out=starts[1:])
-            all_logs[order_arr[i:j]] = np.add.reduceat(
-                mask_flat, starts, dtype=np.int64
-            )
-            # Equal-nz runs inside the slab: uniform (count, span) rows.
-            # Every row is one set's full unpadded table — the same
-            # contiguous value sequence the looped path reduces, so the
-            # pairwise float sums are bit-identical per set.
-            k, cell0, z0 = i, 0, 0
-            while k < j:
-                nz = shape_order[k][2]
-                m_run = k
-                while m_run < j and shape_order[m_run][2] == nz:
-                    m_run += 1
-                cnt = m_run - k
-                span = nz * rx * ry
-                block = terms_flat[cell0 : cell0 + cnt * span].reshape(cnt, span)
-                idx = order_arr[k:m_run]
-                all_stats[idx] = block.sum(axis=1)
-                if structural:
-                    all_dofs[idx] = (rx - 1) * (ry - 1) * float(nz)
-                else:
-                    nz_rows = n_z.reshape(-1)[z0 : z0 + cnt * nz].reshape(cnt, nz)
-                    n_nonempty = np.count_nonzero(nz_rows > 0, axis=1)
-                    all_dofs[idx] = (
-                        (rx - 1) * (ry - 1) * np.maximum(n_nonempty, 1).astype(np.float64)
-                    )
-                cell0 += cnt * span
-                z0 += cnt * nz
-                k = m_run
-            i = j
-
+        sums, dofs, logs = self._score_wave(counts, geo, off, span, arena)
         # Finalisation (scale/clamp) is elementwise, so one whole-wave call
-        # equals the per-run calls the run loop used to make.
-        all_stats = self._finalize_stats(all_stats)
-        ps = chi2_sf_array(all_stats, all_dofs)
-
-        # -- results, log billing, cache copies --------------------------- #
-        stats_l, dofs_l, ps_l = all_stats.tolist(), all_dofs.tolist(), ps.tolist()
-        logs_l = all_logs.tolist()
+        # equals the looped path's per-table one.
+        stats = self._finalize_stats(sums)
+        ps = chi2_sf_array(stats, dofs)
         # ``p > alpha`` vectorised over float64 is the same comparison the
         # looped path makes per test.
-        ind_l = (ps > self.alpha).tolist()
-        for b, c, g in _runs(wave):
-            x, y, _sets = items[g]
-            res_g = results[g]
-            sub = wave[b:c]
-            recs = map(
-                CITestResult,
-                repeat(x),
-                repeat(y),
-                (e.s for e in sub),
-                stats_l[b:c],
-                dofs_l[b:c],
-                ps_l[b:c],
-                ind_l[b:c],
-            )
-            for e, r, lg in zip(sub, recs, logs_l[b:c], strict=True):
-                res_g[e.i] = r
-                e.logs = lg
-                if builder is not None:
-                    e.memo = self._memo(r, lg)
+        kind = None if builder is None else self._memo_kind
+        for e, stat, dof, p, ind, lg in zip(
+            lay,
+            stats.tolist(),
+            dofs.tolist(),
+            ps.tolist(),
+            (ps > self.alpha).tolist(),
+            logs.tolist(),
+            strict=True,
+        ):
+            x, y, _sets = items[e.g]
+            results[e.g][e.i] = CITestResult(x, y, e.s, stat, dof, p, ind)
+            e.logs = lg
+            if kind is not None:
+                e.memo = (kind, stat, dof, p, lg)
         if builder is not None:
             for e in built:
-                # Materialise a standalone copy: a contiguous *view* would
-                # pin the whole wave histogram in the byte-budgeted cache
-                # while billing only the slice.
+                # Materialise a standalone copy: a view would pin the whole
+                # (arena) histogram in the byte-budgeted cache while billing
+                # only the slice, and the next wave overwrites it.
                 rx, ry = gshape[e.g]
                 table = counts[e.offset : e.offset + e.cells].reshape(e.nz, rx, ry).copy()
                 e.table = (table, e.nz)
 
+    def _score_wave(
+        self,
+        counts: np.ndarray,
+        geo: np.ndarray,
+        off: np.ndarray,
+        span: np.ndarray,
+        arena: KernelArena,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-set ``(term sums, dofs, log counts)`` of a wave histogram in
+        one flat pass over its cells.
+
+        Set ``r`` (row ``(rx, ry, nz)`` of ``geo``) owns the ``span[r]``
+        cells from ``off[r]``, in span order.  Every cell's three marginals
+        are segment sums of integer counts — exact in float64 in any
+        summation order — gathered back to the cell, so the per-cell
+        formula sees exactly the values the looped oracle broadcasts.  The
+        terms of each run of equal-span sets are then summed as the rows
+        of one contiguous ``(count, span)`` block: the value sequence the
+        oracle reduces per table, so the pairwise float sums are
+        bit-identical.  All cell-sized scratch is arena slots.
+        """
+        total = counts.shape[0]
+        n = off.shape[0]
+        rx, ry, nz = geo[:, 0], geo[:, 1], geo[:, 2]
+
+        def cells(key: str, dtype) -> np.ndarray:
+            return arena.take("ew_" + key, (total,), dtype)
+
+        # The set of every cell (ones at set starts, summed), and the
+        # cell's position in its own table (a running count reset to zero
+        # at every set start).
+        job = cells("job", np.intp)
+        job.fill(0)
+        job[off[1:]] = 1
+        np.cumsum(job, out=job)
+        loc = cells("loc", np.intp)
+        loc.fill(1)
+        loc[0] = 0
+        loc[off[1:]] = 1 - span[:-1]
+        np.cumsum(loc, out=loc)
+        # Cell coordinates: y, and the position inside its z-slice.
+        y = cells("y", np.intp)
+        np.remainder(loc, np.take(ry, job, out=y, mode="clip"), out=y)
+        zpos = cells("zpos", np.intp)
+        np.remainder(loc, np.take(rx * ry, job, out=zpos, mode="clip"), out=zpos)
+        # Dense 1-based marginal ids: an (x, z) row starts where y == 0, a
+        # z-slice where its position is 0; a (y, z) column is slice and y.
+        first = cells("first", np.bool_)
+        xz = job
+        np.cumsum(np.equal(y, 0, out=first), out=xz)
+        zid = loc
+        np.cumsum(np.equal(zpos, 0, out=first), out=zid)
+        yz = zpos
+        np.multiply(zid, int(ry.max()), out=yz)
+        yz += y
+        obs = cells("obs", np.float64)
+        np.copyto(obs, counts)
+        slice_tot = np.bincount(zid, weights=obs)
+        n_xz = np.take(np.bincount(xz, weights=obs), xz, out=cells("nxz", np.float64), mode="clip")
+        n_yz = np.take(np.bincount(yz, weights=obs), yz, out=cells("nyz", np.float64), mode="clip")
+        n_z = np.take(slice_tot, zid, out=cells("nz", np.float64), mode="clip")
+        terms, mask = self._elementwise(obs, n_xz, n_yz, n_z, cells)
+
+        # Log billing: integer cell counts are order-independent, so one
+        # segmented reduction bills every set exactly as the looped path's
+        # per-table ``count_nonzero`` would.
+        logs = np.add.reduceat(mask, off, dtype=np.int64)
+        sums = np.empty(n, dtype=np.float64)
+        spans = span.tolist()
+        a = 0
+        while a < n:
+            width = spans[a]
+            b = a + 1
+            while b < n and spans[b] == width:
+                b += 1
+            o = int(off[a])
+            sums[a:b] = terms[o : o + (b - a) * width].reshape(b - a, width).sum(axis=1)
+            a = b
+        dof_xy = ((rx - 1) * (ry - 1)).astype(np.float64)
+        if self.dof_adjust == "structural":
+            return sums, dof_xy * nz.astype(np.float64), logs
+        zbase = np.zeros(n, dtype=np.intp)
+        np.cumsum(nz[:-1], out=zbase[1:])
+        nonempty = np.add.reduceat(slice_tot[1:] > 0, zbase, dtype=np.int64)
+        return sums, dof_xy * np.maximum(nonempty, 1).astype(np.float64), logs
+
     def _count(
         self,
         rows: list[_Job],
-        scales_l: list[int],
         total: int,
         gshape: list[tuple[int, int]],
     ) -> np.ndarray:
         """Flat histogram of ``total`` cells holding the tables of ``rows``
-        (jobs with laid-out offsets; ``scales_l`` their ``rx * ry``).
+        (jobs with laid-out offsets).
 
         The plan arrays are assembled without per-row arithmetic: every
         row's place values come from the set memo and are scaled by one
@@ -952,8 +929,9 @@ class ContingencyTableTest:
         size = int(ptr[-1])
         vars_ = np.fromiter(chain.from_iterable(e.vars for e in rows), np.int64, size)
         strides = np.fromiter(chain.from_iterable(e.place for e in rows), np.int64, size)
-        scale = np.repeat(np.fromiter(scales_l, np.int64, n), k)
-        scale[ptr[1:] - 2] = np.fromiter((gshape[e.g][1] for e in rows), np.int64, n)
+        shp = np.array([gshape[e.g] for e in rows], dtype=np.int64).reshape(n, 2)
+        scale = np.repeat(shp[:, 0] * shp[:, 1], k)
+        scale[ptr[1:] - 2] = shp[:, 1]
         scale[ptr[1:] - 1] = 1
         strides *= scale
         offsets = np.fromiter((e.offset for e in rows), np.int64, n)

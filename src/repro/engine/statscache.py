@@ -26,15 +26,29 @@ from the data columns (paper optimisation (iv)), never stored:
 * the fused group kernel reads the cache side-effect free while it plans
   and builds, then replays the cache events of the tests it keeps through
   :meth:`CachedTableBuilder.commit` — one lock acquisition per kernel
-  call instead of one per table;
+  call instead of one per table.  A round that cannot evict (no spill
+  tier, and every table it could store fits the free budget) is replayed
+  in one pass that inserts finished entries; any other round keeps the
+  reserve-then-fill replay, so evictions match per-set evaluation;
 * every entry carries one score memo, ``(kind, statistic, dof, p_value,
   n_logs)``, written by the last tester that scored its table (``kind``
-  names the statistic class and its ``dof_adjust``).  A hit by a tester
-  of the same kind answers from the memo without re-scoring; the verdict
-  ``p_value > alpha`` is taken fresh, so one memo serves every alpha.
-  The memo holds exactly the floats the scoring code computed, is not
-  billed against the byte budget (like the entry's object overhead) and
-  is not spilled: a promoted entry is scored once and memoised again.
+  is a string naming the statistic class and its ``dof_adjust``).  A hit
+  by a tester of the same kind answers from the memo without re-scoring;
+  the verdict ``p_value > alpha`` is taken fresh, so one memo serves
+  every alpha.  The memo holds exactly the floats the scoring code
+  computed, is not billed against the byte budget (like the entry's
+  object overhead) and is not spilled: a promoted entry is scored once
+  and memoised again.
+
+An entry is one plain tuple, ``(value, nbytes, kind) + memo``: a table
+value ``(counts, nz_structural)``, its billed bytes, ``"table"``, then the
+five memo fields inline (none before a tester scores the table, so
+``entry[3:]`` is the memo or ``()``).  Every field is an atom, a count
+array or a tuple of them, so the cyclic GC untracks an entry once
+collected (its value tuple first, the entry itself by the next
+collection at the latest): tens of thousands of resident tables add
+nothing to later collections.  Writing a memo replaces the entry tuple
+in place (same key, same LRU position).
 
 Hit/miss/eviction/byte counters are exact and feed both
 :class:`~repro.citests.base.CITestCounters` and the Table IV simulated
@@ -116,20 +130,17 @@ class CacheStats:
         return out
 
 
-@dataclass(slots=True)
-class _Entry:
-    value: object
-    nbytes: int
-    kind: str  # "table" (the spill tier's row format keeps the field)
-    # Score memo ``(kind, statistic, dof, p_value, n_logs)`` of the last
-    # tester that scored the table (module docstring); never spilled.
-    memo: tuple | None = None
+#: An entry, ``(value, nbytes, kind) + memo`` (module docstring): ``kind``
+#: is ``"table"`` (the spill tier's row format keeps the field) and the
+#: memo fields are the score of the last tester that scored the table,
+#: never spilled.
+Entry = tuple
 
 
-def _is_pending(entry: _Entry) -> bool:
+def _is_pending(entry: Entry) -> bool:
     """True for a reserved-but-unfilled group slot (identity sentinel —
     meaningless outside its group evaluation, so never spilled)."""
-    value = entry.value
+    value = entry[0]
     return isinstance(value, tuple) and bool(value) and value[0] is _PENDING
 
 
@@ -148,7 +159,7 @@ class SufficientStatsCache:
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
         self.max_bytes = int(max_bytes)
-        self._entries: OrderedDict[Hashable, _Entry] = OrderedDict()
+        self._entries: OrderedDict[Hashable, Entry] = OrderedDict()
         # Guards the entry map and byte accounting; uncontended in the
         # per-process/per-session setups, but lets thread-backend testers
         # share one cache, and gives put_many its single-acquisition bulk
@@ -189,7 +200,7 @@ class SufficientStatsCache:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 
-    def get(self, key: Hashable) -> _Entry | None:
+    def get(self, key: Hashable) -> Entry | None:
         """Fetch an entry, refreshing its recency and counting a hit or a
         miss (one event per CI test)."""
         with self._lock:
@@ -200,7 +211,7 @@ class SufficientStatsCache:
             self.hits += 1
         return entry
 
-    def peek(self, key: Hashable) -> _Entry | None:
+    def peek(self, key: Hashable) -> Entry | None:
         """A resident entry (value and memo) without any side effect (no
         recency, counter, or spill event); ``None`` when absent or a
         pending slot."""
@@ -209,14 +220,14 @@ class SufficientStatsCache:
             return None
         return entry
 
-    def _get_locked(self, key: Hashable) -> _Entry | None:
+    def _get_locked(self, key: Hashable) -> Entry | None:
         entry = self._entries.get(key)
         if entry is None:
             return self._promote_locked(key)
         self._entries.move_to_end(key)
         return entry
 
-    def _promote_locked(self, key: Hashable) -> "_Entry | None":
+    def _promote_locked(self, key: Hashable) -> Entry | None:
         """Restore a spilled entry into memory; None without a spill hit.
 
         The probe is an O(1) set lookup against the tier's key index, so
@@ -234,16 +245,15 @@ class SufficientStatsCache:
             self.spill_misses += 1
             return None
         self.spill_hits += 1
-        entry = _Entry(*fields)
-        self._entries[key] = entry
-        self.current_bytes += entry.nbytes
+        entry = self._entries[key] = fields
+        self.current_bytes += entry[1]
         self.spill_promotes += 1
         self._evict_locked()
         return entry
 
     def put(
         self, key: Hashable, value: object, nbytes: int, kind: str = "table"
-    ) -> _Entry | None:
+    ) -> Entry | None:
         """Insert (or replace) an entry and evict until the budget holds;
         returns the new entry, or ``None`` when it was not admitted.
 
@@ -270,22 +280,22 @@ class SufficientStatsCache:
 
     def _put_locked(
         self, key: Hashable, value: object, nbytes: int, kind: str
-    ) -> _Entry | None:
+    ) -> Entry | None:
         entry = self._insert_locked(key, value, nbytes, kind)
         # The fresh entry is the hottest, so the sweep never evicts it.
         self._evict_locked()
         return entry
 
     def _insert_locked(
-        self, key: Hashable, value: object, nbytes: int, kind: str
-    ) -> _Entry | None:
+        self, key: Hashable, value: object, nbytes: int, kind: str, memo: tuple = ()
+    ) -> Entry | None:
         nbytes = int(nbytes)
         old = self._entries.pop(key, None)
         if old is not None:
-            self.current_bytes -= old.nbytes
+            self.current_bytes -= old[1]
         if nbytes > self.max_bytes:
             return None
-        entry = self._entries[key] = _Entry(value, nbytes, kind)
+        entry = self._entries[key] = (value, nbytes, kind) + memo
         self.current_bytes += nbytes
         self.puts += 1
         return entry
@@ -293,14 +303,23 @@ class SufficientStatsCache:
     def _evict_locked(self) -> None:
         while self.current_bytes > self.max_bytes and self._entries:
             key, evicted = self._entries.popitem(last=False)
-            self.current_bytes -= evicted.nbytes
+            value, nbytes, kind = evicted[:3]
+            self.current_bytes -= nbytes
             self.evictions += 1
             if self._spill is not None and not _is_pending(evicted):
                 # Demote instead of drop: the entry lands on disk and a
                 # later lookup promotes it back, bit-identical.  A slot
                 # reserved in the round being replayed is never spilled.
-                if self._spill.put(key, evicted.value, evicted.nbytes, evicted.kind):
+                if self._spill.put(key, value, nbytes, kind):
                     self.spill_stores += 1
+
+    def set_memo(self, key: Hashable, memo: tuple) -> None:
+        """Leave ``memo`` on the resident entry of ``key`` (no recency,
+        counter or spill event); a no-op when the key is not resident."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries[key] = entry[:3] + memo
 
     def clear(self) -> None:
         with self._lock:
@@ -339,9 +358,10 @@ class CachedTableBuilder:
 
     ``ci_counts(x, y, s)`` returns exactly what the uncached tester path
     would compute — ``(counts, nz_structural)`` plus the ``from_cache``
-    flag and the entry holding the table — from a direct key hit or a
-    fresh build from the data columns, which is then inserted so later
-    queries hit directly.  The fused kernel instead
+    flag and the entry's score memo — from a direct key hit or a fresh
+    build from the data columns, which is then inserted so later queries
+    hit directly (the caller leaves its score with
+    :meth:`SufficientStatsCache.set_memo`).  The fused kernel instead
     builds on its own and replays its tests' cache events through
     :meth:`commit`.
     """
@@ -371,61 +391,102 @@ class CachedTableBuilder:
         (``(counts, nz_structural)``) and ``memo`` (its score).  For each
         test this makes exactly the events a one-test-at-a-time evaluation
         of the same stream would make: one table lookup (a hit ends there),
-        else one store — a dense table as a sized reservation filled when
-        its round ends, a compressed one directly.  Recency, evictions,
-        spill traffic and counters therefore match per-set evaluation,
-        under one lock acquisition.  The entry each test hits or stores
-        takes the test's memo.
+        else one store.  Recency, evictions, spill traffic and counters
+        therefore match per-set evaluation, under one lock acquisition.
+        The entry each test hits or stores takes the test's memo.
+
+        A round that cannot evict — no spill tier, and the free budget
+        holds every table it could store (``8 * cells`` bytes per test, the
+        int64 size a stored table has at most) — is replayed in one pass
+        that inserts finished entries.  Any other round stores a dense
+        table as a sized reservation filled when its round ends, and a
+        compressed one directly, so a slot evicted inside its own round is
+        dropped, as per-set evaluation would drop it.
 
         Returns one flag per test: ``True`` for a table hit.
         """
         cache = self.cache
-        get = cache._get_locked
-        put = cache._put_locked
         entries = cache._entries
         hits: list[bool] = []
         with cache._lock:
             for rnd in rounds:
-                reserved = []
-                for job in rnd:
-                    key = job.key
-                    entry = get(key)
-                    if entry is not None:
-                        cache.hits += 1
-                        hits.append(True)
-                        entry.memo = job.memo
-                        continue
-                    cache.misses += 1
-                    hits.append(False)
-                    if job.dense:
-                        # int64 cells: what the wave's histogram holds.
-                        put(key, (_PENDING, job.table[1]), job.cells * 8, "table")
-                        reserved.append(job)
-                    else:
-                        entry = put(key, job.table, job.table[0].nbytes, "table")
-                        if entry is not None:
-                            entry.memo = job.memo
-                for job in reserved:
-                    entry = entries.get(job.key)
-                    if entry is not None:
-                        entry.value = job.table
-                        entry.memo = job.memo
+                if cache._spill is None and (
+                    cache.current_bytes + 8 * sum(job.cells for job in rnd) <= cache.max_bytes
+                ):
+                    self._commit_round_fitting(rnd, entries, hits)
+                else:
+                    self._commit_round_evicting(rnd, entries, hits)
         return hits
+
+    def _commit_round_fitting(self, rnd: Sequence, entries: OrderedDict, hits: list) -> None:
+        """One-pass replay of a round that cannot evict (see :meth:`commit`)."""
+        cache = self.cache
+        get = entries.get
+        to_end = entries.move_to_end
+        n_hits = n_puts = added = 0
+        for job in rnd:
+            key = job.key
+            entry = get(key)
+            if entry is not None:
+                to_end(key)
+                n_hits += 1
+                hits.append(True)
+                if entry[3:] != job.memo:
+                    entries[key] = entry[:3] + job.memo
+                continue
+            hits.append(False)
+            table = job.table
+            nbytes = job.cells * 8 if job.dense else table[0].nbytes
+            entries[key] = (table, nbytes, "table") + job.memo
+            added += nbytes
+            n_puts += 1
+        cache.hits += n_hits
+        cache.misses += len(rnd) - n_hits
+        cache.puts += n_puts
+        cache.current_bytes += added
+
+    def _commit_round_evicting(self, rnd: Sequence, entries: OrderedDict, hits: list) -> None:
+        """Reserve-then-fill replay of a round that may evict."""
+        cache = self.cache
+        reserved = []
+        for job in rnd:
+            key = job.key
+            entry = cache._get_locked(key)
+            if entry is not None:
+                cache.hits += 1
+                hits.append(True)
+                if entries.get(key) is entry:  # a promote may not stay resident
+                    entries[key] = entry[:3] + job.memo
+                continue
+            cache.misses += 1
+            hits.append(False)
+            if job.dense:
+                # int64 cells: what the wave's histogram holds.
+                cache._put_locked(key, (_PENDING, job.table[1]), job.cells * 8, "table")
+                reserved.append(job)
+            else:
+                table = job.table
+                cache._insert_locked(key, table, table[0].nbytes, "table", job.memo)
+                cache._evict_locked()
+        for job in reserved:
+            entry = entries.get(job.key)
+            if entry is not None:
+                entries[job.key] = (job.table,) + entry[1:3] + job.memo
 
     def ci_counts(
         self, x: int, y: int, s: tuple[int, ...]
-    ) -> tuple[np.ndarray, int, bool, _Entry | None]:
+    ) -> tuple[np.ndarray, int, bool, tuple]:
         """Resolve-or-build one table (the looped path's front door).
 
-        Returns ``(counts, nz_structural, from_cache, entry)``: ``entry``
-        is the cache entry holding the table, whose score memo the caller
-        reads and writes (``None`` when the table was not admitted).
+        Returns ``(counts, nz_structural, from_cache, memo)``: ``memo`` is
+        the score memo of the entry that held the table (``()`` for a
+        fresh build or an entry nobody scored yet).
         """
         key = self.table_key(x, y, s)
         entry = self.cache.get(key)
         if entry is not None:
-            counts, nz_structural = entry.value  # type: ignore[misc]
-            return counts, nz_structural, True, entry
+            counts, nz_structural = entry[0]  # type: ignore[misc]
+            return counts, nz_structural, True, entry[3:]
         ds = self.dataset
         counts, nz_structural, _dense = ci_counts(
             ds.column(x),
@@ -436,5 +497,5 @@ class CachedTableBuilder:
             [ds.arity(v) for v in s],
             compress_threshold=self.compress_threshold,
         )
-        entry = self.cache.put(key, (counts, nz_structural), counts.nbytes)
-        return counts, nz_structural, False, entry
+        self.cache.put(key, (counts, nz_structural), counts.nbytes)
+        return counts, nz_structural, False, ()

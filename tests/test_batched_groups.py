@@ -66,7 +66,60 @@ GROUPS = [
 ]
 
 
+#: Mixed endpoint shapes and depths over the variables of ``mixed_data``:
+#: one fused call spans several ``(rx, ry)`` shapes and ``nz`` values.
+MIXED_ARITIES = [2, 3, 4, 2, 5, 3, 2, 4]
+MIXED_ITEMS = [
+    (0, 1, [(), (2,), (3, 4), (2, 5)]),
+    (1, 2, [(0,), (4,), (5, 6, 7)]),
+    (4, 7, [(), (1,), (0, 2), (3,)]),
+    (2, 5, [(1, 7), (0,), ()]),
+    (6, 3, [(4, 7), (1, 2, 5)]),
+]
+
+
+@pytest.fixture(scope="module")
+def mixed_data():
+    rng = np.random.default_rng(11)
+    rows = np.column_stack([rng.integers(0, a, 300) for a in MIXED_ARITIES])
+    return DiscreteDataset.from_rows(rows, arities=MIXED_ARITIES)
+
+
 class TestBatchedMatchesLooped:
+    @pytest.mark.parametrize("cls", [GSquareTest, ChiSquareTest])
+    @pytest.mark.parametrize("dof_adjust", ["structural", "slices"])
+    @pytest.mark.parametrize("cache", [False, True])
+    @pytest.mark.parametrize("wave_cells", [None, 200])
+    def test_mixed_shape_waves(self, mixed_data, monkeypatch, cls, dof_adjust, cache, wave_cells):
+        # One call, many table shapes: without a cap every dense set shares
+        # one wave (one scoring pass over mixed (rx, ry, nz) tables); a
+        # small cap splits the call into several waves.
+        import repro.citests.tablebase as tb
+
+        if wave_cells is not None:
+            monkeypatch.setattr(tb, "_MAX_WAVE_CELLS", wave_cells)
+        shapes = []
+        build_wave = tb.ContingencyTableTest._build_wave
+
+        def spy(self, wave, items, gshape, results):
+            shapes.append({gshape[e.g] + (e.nz,) for e in wave})
+            return build_wave(self, wave, items, gshape, results)
+
+        monkeypatch.setattr(tb.ContingencyTableTest, "_build_wave", spy)
+        fused = _make_tester(cls, mixed_data, batch=True, cache=cache, dof_adjust=dof_adjust)
+        looped = _make_tester(cls, mixed_data, batch=False, cache=cache, dof_adjust=dof_adjust)
+        for prefix in (None, 1):
+            got = fused.test_groups(MIXED_ITEMS, prefix=prefix)
+            want = looped.test_groups(MIXED_ITEMS, prefix=prefix)
+            for g, w in zip(got, want, strict=True):
+                _assert_results_identical(g, w)
+        _assert_counters_identical(fused.counters, looped.counters)
+        if wave_cells is None:
+            assert len({shape[:2] for shape in shapes[0]}) >= 4
+            assert len({shape[2] for shape in shapes[0]}) >= 4
+        else:
+            assert len(shapes) > 2
+
     @pytest.mark.parametrize("cls", TESTERS)
     @pytest.mark.parametrize("layout", ["variable-major", "sample-major"])
     @pytest.mark.parametrize("cache", [False, True])
@@ -156,7 +209,8 @@ class TestBatchedMatchesLooped:
         from repro.engine.statscache import _PENDING
 
         assert not any(
-            e.kind == "table" and e.value[0] is _PENDING for e in cache._entries.values()
+            kind == "table" and value[0] is _PENDING
+            for value, _nbytes, kind, *_memo in cache._entries.values()
         )
         # The tester keeps working and the cache self-heals.
         replay = tester.test_group(0, 1, [(2,), (3,)])
@@ -177,7 +231,7 @@ class TestBatchedMatchesLooped:
         tester.test_groups([(0, 1, [(2,), (3,), (2, 3)]), (4, 5, [(), (6,)])])
 
         def state():
-            entries = [(k, id(e.value), e.nbytes) for k, e in cache._entries.items()]
+            entries = [(k, id(e[0]), e[1]) for k, e in cache._entries.items()]
             return entries, cache.stats(), tester.counters.snapshot()
 
         before = state()
@@ -206,12 +260,12 @@ class TestBatchedMatchesLooped:
         cache = SufficientStatsCache()
         tester = GSquareTest(asia_data, stats_cache=cache)
         tester.test_group(0, 1, [(2,), (3,), (4,)])
-        for entry in cache._entries.values():
-            if entry.kind != "table":
+        for value, nbytes, kind, *_memo in cache._entries.values():
+            if kind != "table":
                 continue
-            counts = entry.value[0]
+            counts = value[0]
             assert counts.base is None
-            assert entry.nbytes == counts.nbytes
+            assert nbytes == counts.nbytes
 
     def test_skeleton_bit_identical(self, asia_data):
         from repro.core.skeleton import learn_skeleton

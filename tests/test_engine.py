@@ -8,6 +8,7 @@ identical requests.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 
@@ -150,9 +151,9 @@ class TestExactCounters:
 
         entries, fused = run()
         assert entries
-        for key, entry in entries.items():
-            assert key[0] == "t" and entry.kind == "table"
-            counts, nz = entry.value
+        for key, (value, _nbytes, kind, *_memo) in entries.items():
+            assert key[0] == "t" and kind == "table"
+            counts, nz = value
             assert isinstance(counts, np.ndarray) and counts.shape[0] <= nz
         monkeypatch.setattr(
             session_mod, "make_tester", functools.partial(make_tester, batch_groups=False)
@@ -175,6 +176,48 @@ class TestExactCounters:
         assert (snap.cache_hits, snap.cache_misses) == (1, 1)
         c.reset()
         assert (c.cache_hits, c.cache_misses) == (0, 0)
+
+
+class TestEntryStorage:
+    def _session_state(self, data):
+        with LearningSession(data) as s:
+            s.learn(gs=1)
+            s.markov_blanket(3)
+            s.relearn(alpha=0.01, gs=3)
+            # A young entry can be examined before the young value tuple
+            # it holds, so the collection that untracks the value may
+            # leave the entry for the next one.
+            gc.collect()
+            gc.collect()
+            return list(s.cache._entries.items()), s.cache_stats(), s.counters()
+
+    def test_entries_and_memos_leave_the_gc(self, asia_data):
+        # Resident tables must cost the cyclic GC nothing: once collected,
+        # no entry (memo fields inline) or table value is tracked any more.
+        entries, _stats, _counters = self._session_state(asia_data)
+        assert entries
+        for _key, entry in entries:
+            value, _nbytes, _kind, *memo = entry
+            assert memo, "every stored table is scored by the test that stored it"
+            assert not gc.is_tracked(entry)
+            assert not gc.is_tracked(value)
+
+    def test_one_pass_commit_equals_reserve_then_fill(self, asia_data, monkeypatch):
+        # Without evictions the one-pass round replay must leave exactly
+        # the entries (order, values, memos) and counters that the
+        # reserve-then-fill replay leaves.
+        fast = self._session_state(asia_data)
+        monkeypatch.setattr(
+            CachedTableBuilder,
+            "_commit_round_fitting",
+            CachedTableBuilder._commit_round_evicting,
+        )
+        slow = self._session_state(asia_data)
+        assert [k for k, _ in fast[0]] == [k for k, _ in slow[0]]
+        for (_k, a), (_k2, b) in zip(fast[0], slow[0], strict=True):
+            np.testing.assert_array_equal(a[0][0], b[0][0])
+            assert a[0][1] == b[0][1] and a[1:] == b[1:]
+        assert fast[1:] == slow[1:]
 
 
 # --------------------------------------------------------------------- #

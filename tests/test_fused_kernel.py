@@ -276,10 +276,9 @@ class TestThreadArena:
             for ref, group in zip(want, results, strict=True):
                 _assert_identical(ref, group)
         assert cache.hits + cache.misses == sum(kept)
-        assert cache.current_bytes == sum(e.nbytes for e in cache._entries.values())
+        assert cache.current_bytes == sum(e[1] for e in cache._entries.values())
         assert not any(
-            isinstance(e.value, tuple) and e.value[0] is _PENDING
-            for e in cache._entries.values()
+            isinstance(e[0], tuple) and e[0][0] is _PENDING for e in cache._entries.values()
         )
 
     def test_explicit_arena_wins(self, asia_data):
@@ -638,7 +637,7 @@ def test_column_kernel_equals_per_set_tables(case):
         tester.test_groups(groups)
         for x, y, sets in groups:
             for s in sets:
-                counts, nz = cache.peek(tester._builder.table_key(x, y, s)).value
+                counts, nz = cache.peek(tester._builder.table_key(x, y, s))[0]
                 ref, nz_ref, _dense = ci_counts(
                     ds.column(x),
                     ds.column(y),

@@ -212,6 +212,17 @@ class TestBaselineWorkers:
         with WorkerPool(asia_data_module, 2) as pool:
             assert pool._executor.submit(_probe_worker_tester).result()[0] is True
 
+    @pytest.mark.parametrize("batch_groups", [True, False])
+    def test_mutual_information_workers_warm_up(self, batch_groups):
+        # The MI wrapper answers warm-up for its inner G^2 tester.
+        from repro.networks.classic import asia
+
+        data = forward_sample(asia(), 500, rng=1)
+        with WorkerPool(data, 2, test="mi", batch_groups=batch_groups) as pool:
+            footprints = pool.warm_up()
+        want = int(data.values.sum(dtype=np.int64))
+        assert footprints and all(f["checksum"] == want for f in footprints)
+
     def test_sequential_baseline_is_looped(self, asia_data_module, monkeypatch):
         import repro.core.learn as learn_mod
 

@@ -25,6 +25,7 @@ import repro.engine.statscache as statscache
 from repro.citests.chisquare import ChiSquareTest
 from repro.citests.gsquare import GSquareTest
 from repro.citests.mutual_info import MutualInformationTest
+from repro.citests.tablebase import memo_kind
 from repro.core.learn import learn_structure, make_tester
 from repro.core.markov_blanket import iamb
 from repro.datasets.sampling import forward_sample
@@ -121,10 +122,16 @@ class TestSharedCacheMemo:
             assert _work(tester.counters) == _work(refs[key].counters)
         # Every memo is labelled with the kind that computed it: scoring
         # the entry's table afresh with that kind gives the memo back.
-        for entry in cache._entries.values():
-            (cls, dof), *score = entry.memo
+        kinds = {
+            memo_kind(cls, dof): (cls, dof)
+            for cls in (GSquareTest, ChiSquareTest)
+            for dof in ("structural", "slices")
+        }
+        for value, _nbytes, _kind, *memo in cache._entries.values():
+            kind, *score = memo
+            cls, dof = kinds[kind]
             scorer = cls(data, dof_adjust=dof)
-            counts, nz = entry.value
+            counts, nz = value
             rx, ry = counts.shape[1:]
             res, n_logs = scorer._score(0, 1, (), counts, nz, rx, ry)
             assert score == [res.statistic, res.dof, res.p_value, n_logs]
@@ -144,7 +151,7 @@ class TestSharedCacheMemo:
             got = tester.test_group(0, 1, [(2,), (2,)])[0]
             ref = cls(asia_data, dof_adjust=dof).test(0, 1, (2,))
             assert got == ref
-            assert cache._entries[key].memo[0] == (cls, dof)
+            assert cache._entries[key][3] == memo_kind(cls, dof)
             scored.append(got.statistic)
         assert scored[0] != scored[1]  # G^2 and X^2 differ on this table
         assert scored[3] == scored[0]
@@ -193,7 +200,7 @@ class TestMemoLifecycle:
             blankets = [s.markov_blanket(t).blanket for t in targets]
             relearned = s.relearn(alpha=0.01, gs=3)
             stats = s.cache_stats()
-            memos = [entry.memo for entry in s.cache._entries.values()]
+            memos = [entry[3:] or None for entry in s.cache._entries.values()]
         assert stats.spill_promotes > 0
         # A promoted entry arrives without its memo; the test that
         # promoted it scored it again, so every resident entry holds one.

@@ -291,7 +291,7 @@ class TestStatsCacheSpill:
         assert st.spill_enabled and st.spill_stores > 0
         # The demoted entry comes back bit-identical and counts as a hit.
         entry = cache.get(("k", 0))
-        assert entry is not None and list(entry.value) == list(np.arange(8))
+        assert entry is not None and list(entry[0]) == list(np.arange(8))
         st = cache.stats()
         assert st.spill_hits == 1 and st.spill_promotes == 1
         assert cache.hits == 1
