@@ -406,21 +406,21 @@ class CachedTableBuilder:
         Returns one flag per test: ``True`` for a table hit.
         """
         cache = self.cache
-        entries = cache._entries
         hits: list[bool] = []
         with cache._lock:
             for rnd in rounds:
                 if cache._spill is None and (
                     cache.current_bytes + 8 * sum(job.cells for job in rnd) <= cache.max_bytes
                 ):
-                    self._commit_round_fitting(rnd, entries, hits)
+                    self._commit_round_fitting(rnd, hits)
                 else:
-                    self._commit_round_evicting(rnd, entries, hits)
+                    self._commit_round_evicting(rnd, hits)
         return hits
 
-    def _commit_round_fitting(self, rnd: Sequence, entries: OrderedDict, hits: list) -> None:
+    def _commit_round_fitting(self, rnd: Sequence, hits: list[bool]) -> None:
         """One-pass replay of a round that cannot evict (see :meth:`commit`)."""
         cache = self.cache
+        entries = cache._entries
         get = entries.get
         to_end = entries.move_to_end
         n_hits = n_puts = added = 0
@@ -445,9 +445,10 @@ class CachedTableBuilder:
         cache.puts += n_puts
         cache.current_bytes += added
 
-    def _commit_round_evicting(self, rnd: Sequence, entries: OrderedDict, hits: list) -> None:
+    def _commit_round_evicting(self, rnd: Sequence, hits: list[bool]) -> None:
         """Reserve-then-fill replay of a round that may evict."""
         cache = self.cache
+        entries = cache._entries
         reserved = []
         for job in rnd:
             key = job.key
