@@ -29,11 +29,18 @@ a per-set :func:`ci_counts` build.  The native backend
 row; the NumPy fallback gathers one column position for every row at a
 time and runs one ``bincount`` per wave.  Compressed-Z sets have
 data-dependent first-axis sizes and go through :func:`ci_counts` instead.
+
+:func:`wave_marginals` then gives every cell of such a histogram its
+marginals ``N_x+z``, ``N_+yz``, ``N_++z`` in one integer pass (native, or
+NumPy segment sums as the fallback), so the scoring pass that follows does
+only float work.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import repeat
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -43,8 +50,12 @@ __all__ = [
     "contingency_table",
     "ci_counts",
     "column_counts",
+    "wave_marginals",
     "marginal_tables",
     "n_configurations",
+    "table_key",
+    "table_key_vars",
+    "table_keys",
 ]
 
 #: Mixed-radix codes are built in int64; beyond this bound ``codes * arity``
@@ -57,6 +68,23 @@ _INT64_CODE_LIMIT = np.iinfo(np.int64).max
 #: at 255/256 and 65535/65536 (``n_configs`` itself must fit, keeping one
 #: spare value so ``codes * arity`` sub-products never saturate the type).
 _DTYPE_TIERS = (np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.int32))
+
+
+def table_key(x: int, y: int, s: tuple[int, ...]) -> tuple:
+    """``("t", v0, v1, ..., x, y)``: the key naming the table of ``I(x, y |
+    s)`` — conditioning variables first, endpoints last, the table's axis
+    order.  The stats cache stores tables under it, and the fused planner
+    reads a kernel row's columns from it (everything after the head)."""
+    return ("t",) + s + (x, y)
+
+
+#: The variables ``s + (x, y)`` of a table key (everything after its head).
+table_key_vars = itemgetter(slice(1, None))
+
+
+def table_keys(sets: Sequence[tuple[int, ...]], pairs: Sequence[tuple[int, int]]) -> list[tuple]:
+    """:func:`table_key` of every ``(set, (x, y))`` pair, in order."""
+    return list(map(add, map(add, repeat(("t",)), sets), pairs))
 
 
 def code_dtype(n_configs: int) -> np.dtype:
@@ -256,6 +284,7 @@ def column_counts(
     code_dtype: np.dtype,
     arena=None,
     use_native: bool = True,
+    col_max: np.ndarray | None = None,
 ) -> np.ndarray:
     """One ``total``-cell histogram holding many dense tables (module
     docstring, "The column kernel").
@@ -278,7 +307,9 @@ def column_counts(
     only valid until that slot is taken again — callers copy out what they
     keep) and the NumPy path's code buffers, whose histogram is
     ``np.bincount``'s own output.  ``use_native`` allows the native loop
-    when a backend is available and handles ``cols.dtype``.
+    when a backend is available and handles ``cols.dtype``; ``col_max``
+    (``cols.max(axis=1)`` as int64, kept by the caller per column matrix)
+    spares the native plan check its per-wave column scan.
     """
     if arena is None:
         from .arena import KernelArena
@@ -289,7 +320,7 @@ def column_counts(
 
         out = arena.take("hist", (int(total),), np.int64)
         out.fill(0)
-        if native_column_counts(cols, ptr, vars_, strides, offsets, out, code_dtype):
+        if native_column_counts(cols, ptr, vars_, strides, offsets, out, code_dtype, col_max):
             return out
     n, m = offsets.shape[0], cols.shape[1]
     k = np.diff(ptr)
@@ -321,6 +352,78 @@ def column_counts(
     codes = arena.take("codes", (n, m), np.intp)
     np.add(acc, offsets[order][:, None], out=codes)
     return np.bincount(codes.reshape(-1), minlength=int(total))
+
+
+def wave_marginals(
+    counts: np.ndarray,
+    geo: np.ndarray,
+    off: np.ndarray,
+    out,
+    use_native: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-cell ``(obs, N_x+z, N_+yz, N_++z)`` and per-set non-empty
+    z-slice counts of a wave histogram.
+
+    Set ``r`` owns the ``rx * ry * nz`` cells of ``counts`` (int64) from
+    ``off[r]``, where ``geo[r] = (rx, ry, nz)`` (both int64); the sets (at
+    least one) sit back to back from cell 0, in ``off`` order.  Every cell gets its own count and its
+    three marginals as float64: sums of integer counts, exact in any
+    order, so the native pass (:func:`repro.citests.native.
+    native_wave_marginals`) and the NumPy fallback below agree value for
+    value.  ``out(key, dtype)`` supplies each cell-sized array (arena
+    scratch in the fused tester).  ``use_native`` allows the native pass
+    when a backend is available; its geometry is validated first, so a
+    malformed one raises ``ValueError`` instead of reaching the C loop.
+    """
+    n = off.shape[0]
+    obs = out("obs", np.float64)
+    n_xz = out("nxz", np.float64)
+    n_yz = out("nyz", np.float64)
+    n_z = out("nz", np.float64)
+    if use_native and counts.dtype == np.int64:
+        from .native import native_wave_marginals
+
+        nonempty = np.empty(n, dtype=np.int64)
+        if native_wave_marginals(counts, geo, off, obs, n_xz, n_yz, n_z, nonempty):
+            return obs, n_xz, n_yz, n_z, nonempty
+    rx, ry, nz = geo[:, 0], geo[:, 1], geo[:, 2]
+    span = rx * ry * nz
+    # The set of every cell (ones at set starts, summed), and the cell's
+    # position in its own table (a running count reset to zero at every
+    # set start).
+    job = out("job", np.intp)
+    job.fill(0)
+    job[off[1:]] = 1
+    np.cumsum(job, out=job)
+    loc = out("loc", np.intp)
+    loc.fill(1)
+    loc[0] = 0
+    loc[off[1:]] = 1 - span[:-1]
+    np.cumsum(loc, out=loc)
+    # Cell coordinates: y, and the position inside its z-slice.
+    y = out("y", np.intp)
+    np.remainder(loc, np.take(ry, job, out=y, mode="clip"), out=y)
+    zpos = out("zpos", np.intp)
+    np.remainder(loc, np.take(rx * ry, job, out=zpos, mode="clip"), out=zpos)
+    # Dense 1-based marginal ids: an (x, z) row starts where y == 0, a
+    # z-slice where its position is 0; a (y, z) column is slice and y.
+    first = out("first", np.bool_)
+    xz = job
+    np.cumsum(np.equal(y, 0, out=first), out=xz)
+    zid = loc
+    np.cumsum(np.equal(zpos, 0, out=first), out=zid)
+    yz = zpos
+    np.multiply(zid, int(ry.max()), out=yz)
+    yz += y
+    np.copyto(obs, counts)
+    slice_tot = np.bincount(zid, weights=obs)
+    np.take(np.bincount(xz, weights=obs), xz, out=n_xz, mode="clip")
+    np.take(np.bincount(yz, weights=obs), yz, out=n_yz, mode="clip")
+    np.take(slice_tot, zid, out=n_z, mode="clip")
+    zbase = np.zeros(n, dtype=np.intp)
+    np.cumsum(nz[:-1], out=zbase[1:])
+    nonempty = np.add.reduceat(slice_tot[1:] > 0, zbase, dtype=np.int64)
+    return obs, n_xz, n_yz, n_z, nonempty
 
 
 def marginal_tables(

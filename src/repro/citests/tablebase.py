@@ -25,14 +25,17 @@ Two group-evaluation paths, bit-identical by construction and by test:
     of :mod:`repro.citests.native`, or per-column gathers and one
     ``np.bincount``); no cell codes are stored between calls;
   - one flat pass scores the whole wave, whatever its mix of table
-    shapes: every cell's marginals ``N_x+z``, ``N_+yz``, ``N_++z`` are
-    segment sums of integer counts (exact in float64 in any order)
-    gathered back to the cell, and the statistic's per-cell formula — the
-    one the looped path applies with broadcast marginals — runs once over
-    all cells into arena scratch.  Tables sit back to back in span order,
-    so each run of equal-span sets is one contiguous ``(count, span)``
-    block whose row sums are the value sequences the looped path reduces:
-    the float sums are bit-identical;
+    shapes: one integer pass
+    (:func:`~repro.citests.contingency.wave_marginals` — the native
+    marginals loop, or NumPy segment sums as the fallback) gives every
+    cell its count and its marginals ``N_x+z``, ``N_+yz``, ``N_++z``
+    (exact in float64 in any order), and only the float work stays in
+    NumPy: the statistic's per-cell formula — the one the looped path
+    applies with broadcast marginals — runs once over all cells into
+    arena scratch.  Tables sit back to back in span order, so each run of
+    equal-span sets is one contiguous ``(count, span)`` block whose row
+    sums are the value sequences the looped path reduces: the float sums
+    are bit-identical;
   - one ``gammaincc`` call covers the whole wave.
 
   ``test_group`` is the single-group spelling of the same engine.
@@ -40,7 +43,10 @@ Two group-evaluation paths, bit-identical by construction and by test:
   are built one at a time through the pure :func:`ci_counts`; they are the
   only sets whose endpoint codes are ever built.
 
-  A fused call runs in three stages:
+  A fused call holds no per-set objects: the plan is parallel per-set
+  columns in plan order (:class:`_Plan`), waves are index arrays, and
+  results, memos and stored tables are built with C-level ``map``/``zip``.
+  It runs in three stages:
 
   - **plan** has no side effects: with a stats cache attached it reads
     resident entries without recency or counter changes.  An entry whose
@@ -88,9 +94,11 @@ implementation detail.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Sequence
-from itertools import chain
-from operator import attrgetter
+from functools import partial
+from itertools import accumulate, chain, compress, repeat
+from operator import itemgetter
 
 import numpy as np
 from scipy.special import gammaincc
@@ -98,7 +106,14 @@ from scipy.special import gammaincc
 from ..datasets.dataset import DiscreteDataset, smallest_uint_dtype
 from .arena import KernelArena, thread_arena
 from .base import CITestCounters, CITestResult
-from .contingency import ci_counts, column_counts, n_configurations
+from .contingency import (
+    ci_counts,
+    column_counts,
+    n_configurations,
+    table_key_vars,
+    table_keys,
+    wave_marginals,
+)
 from .native import native_available
 
 __all__ = ["ContingencyTableTest", "chi2_sf", "chi2_sf_array", "memo_kind", "wave_arena_hint"]
@@ -116,8 +131,6 @@ _INT32_LIMIT = np.iinfo(np.int32).max
 _MAX_WAVE_CELLS = 1 << 18
 _MAX_WAVE_CODES = 1 << 20
 
-#: Layout order of a wave's tables (``_build_wave``).
-_CELLS = attrgetter("cells")
 
 
 def _cell_dtype(limit: int, narrow: bool) -> np.dtype:
@@ -185,52 +198,61 @@ def chi2_sf_array(stats: np.ndarray, dofs: np.ndarray) -> np.ndarray:
     return np.where(positive, gammaincc(safe / 2.0, halved), 1.0)
 
 
-class _Job:
-    """One planned conditioning set of one group.
+class _Geometry(dict):
+    """Per-tester memo ``s -> (rz, nz, place, dense_nz)`` of conditioning-set
+    geometry, filled on first lookup: the set's arities, structural
+    configuration count, the place value of every kernel-row column in
+    units of the group's ``(rx * ry, ry, 1)`` (``prod(rz[l] for l > j)``
+    per conditioning variable, then ``1, 1`` for the endpoints), and
+    ``nz`` again when the set is dense (``nz <= dense_limit``), else ``0``
+    — an int64-safe field the planner gathers for every set."""
 
-    ``dense`` jobs are scored in waves — built there from the kernel row
-    ``vars`` (``s + (x, y)``) with the set's memoised ``place`` values, or
-    copied in when their table was resident in the stats cache as the call
-    planned; compressed-Z jobs are scored one at a time.  On the cache
-    path ``key`` is the table key, after the build ``table`` holds
-    ``(counts, nz_structural)`` and ``memo`` the score the commit stores
-    on the entry; a job answered from its resident entry's memo is not
-    built at all.  ``cells``/``logs`` are the work the test bills when it
-    commits.
+    def __init__(self, arities: list[int], dense_limit: int) -> None:
+        super().__init__()
+        self.arities = arities
+        self.dense_limit = dense_limit
+
+    def __missing__(self, s: tuple[int, ...]) -> tuple[list[int], int, tuple, int]:
+        rz = [self.arities[v] for v in s]
+        place = [1] * (len(s) + 2)
+        for j in range(len(s) - 2, -1, -1):
+            place[j] = place[j + 1] * rz[j + 1]
+        nz = n_configurations(rz)
+        info = self[s] = (rz, nz, tuple(place), nz if nz <= self.dense_limit else 0)
+        return info
+
+
+_FIRST = itemgetter(0)
+_SECOND = itemgetter(1)
+_PLACE = itemgetter(2)
+_DENSE_NZ = itemgetter(3)
+_INDEPENDENT = itemgetter(6)
+#: ``CITestResult(*fields)`` without the Python-level ``__new__``.
+_RESULT = partial(tuple.__new__, CITestResult)
+
+
+class _Plan:
+    """One fused call's conditioning sets as parallel per-set columns, in
+    plan order (item-major, then set order within the item).
+
+    ``sets``/``pairs`` name each test and ``keys`` holds its table key
+    (:func:`~repro.citests.contingency.table_key`: the stats-cache key,
+    whose variables after the head are the kernel row ``s + (x, y)``);
+    ``info`` is its :class:`_Geometry`
+    row, ``grp`` its item, ``nz`` its dense configuration count (``0`` for
+    a compressed set), ``cells`` the table cells it bills; ``tables`` is
+    its table ``(counts, nz_structural)`` (resident as planned, or built),
+    and ``resident``
+    marks the tables the plan found in the cache; ``results`` and the
+    score columns ``stat``, ``dof``, ``pval`` and ``logs`` (the fields of
+    its score memo) are filled as sets are scored or answered.  ``rx`` and
+    ``ry`` are per item.
     """
 
     __slots__ = (
-        "g", "i", "s", "rz", "nz", "place", "vars", "cells", "dense", "key", "table",
-        "logs", "offset", "memo",
+        "sets", "pairs", "info", "grp", "nz", "cells", "rx", "ry", "keys", "tables",
+        "resident", "stat", "dof", "pval", "logs", "results",
     )
-
-    def __init__(self, g, i, s, rz, nz, place, vars_, cells, dense):
-        self.g = g
-        self.i = i
-        self.s = s
-        self.rz = rz
-        self.nz = nz
-        self.place = place
-        self.vars = vars_
-        self.cells = cells
-        self.dense = dense
-        self.key = None
-        self.table = None
-        self.logs = 0
-        self.offset = 0
-        self.memo = None
-
-
-def _set_geometry(s: tuple[int, ...], arities: list[int]) -> tuple[list[int], int, tuple]:
-    """``(rz, nz, place)`` of a conditioning set: its arities, structural
-    configuration count, and the place value of every kernel-row column
-    in units of the group's ``(rx * ry, ry, 1)`` (``prod(rz[l] for l >
-    j)`` per conditioning variable, then ``1, 1`` for the endpoints)."""
-    rz = [arities[v] for v in s]
-    place = [1] * (len(s) + 2)
-    for j in range(len(s) - 2, -1, -1):
-        place[j] = place[j + 1] * rz[j + 1]
-    return rz, n_configurations(rz), tuple(place)
 
 
 class ContingencyTableTest:
@@ -308,16 +330,21 @@ class ContingencyTableTest:
         # as one tuple and read once into a local, so even a shared tester
         # only ever sees a pair together with that pair's codes.
         self._xy_slot: tuple[int, int, np.ndarray] | None = None
-        # Memo of per-set geometry ``s -> (rz, nz, place)`` (tiny tuples;
-        # the planner touches it once per (group, set) pair, so a kernel
-        # row needs no per-row arithmetic).
-        self._set_info: dict[tuple[int, ...], tuple[list[int], int, tuple]] = {}
+        # ``cols.max(axis=1)`` of the column matrix, for the native plan
+        # check (resolved with ``_columns``).
+        self._col_max: np.ndarray | None = None
         #: Per-instance native-path switch (A/B benchmarking, tests); the
         #: effective path is this AND the import-time backend detection.
         self.use_native = True
         # Plain-int arity list: the fused planner reads arities per set
         # per group, and numpy scalar unboxing would dominate it.
         self._arities = [dataset.arity(v) for v in range(dataset.n_variables)]
+        # Memo of per-set geometry (``_Geometry``: tiny tuples the planner
+        # gathers once per (group, set) pair, so a kernel row needs no
+        # per-row arithmetic).
+        self._set_info = _Geometry(
+            self._arities, self.compress_threshold * max(dataset.n_samples, 1)
+        )
         # Stats-cache score memos are shared only between testers of one
         # statistic and one dof rule (statscache module docstring).
         self._memo_kind = memo_kind(type(self), dof_adjust)
@@ -356,6 +383,7 @@ class ContingencyTableTest:
                     cols[i] = ds.column(i)
                 cols.setflags(write=False)
                 self._cols = cols
+            self._col_max = self._cols.max(axis=1, initial=0).astype(np.int64)
         return self._cols
 
     def _xy_codes(self, x: int, y: int) -> np.ndarray | None:
@@ -601,195 +629,235 @@ class ContingencyTableTest:
         ds = self.dataset
         m = ds.n_samples
         ar = self._arities
-        dense_limit = self.compress_threshold * max(m, 1)
         builder = self._builder
-        set_info = self._set_info
-
-        results: list[list[CITestResult | None]] = [
-            [None] * len(sets) for _, _, sets in items
-        ]
-        gshape: list[tuple[int, int]] = [(0, 0)] * len(items)
-        entries: list[_Job] = []  # dense sets, scored in waves
-        loose: list[_Job] = []  # compressed sets, scored one at a time
-        jobs: list[list[_Job]] = []  # the job behind every (group, set)
 
         # -- plan: no side effects on the cache or the counters ---------- #
-        # With a cache, resident entries are read without recency or counter
-        # effects; commit replays the cache events of the tests that count.
-        # A resident entry memoised by this tester's kind answers its test
-        # here: the job is never built or scored.  A table key repeated
-        # within the call is planned (and built) once per occurrence, as
-        # without a cache: the commit turns every repeat into a hit.
-        peek = builder.cache.peek if builder is not None else None
-        table_key = builder.table_key if builder is not None else None
-        kind = self._memo_kind
-        for g, (x, y, sets) in enumerate(items):
-            ry = ar[y]
-            sc = ar[x] * ry
-            gshape[g] = (ar[x], ry)
-            pair = (x, y)
-            row: list[_Job] = []
-            jobs.append(row)
-            for i, s in enumerate(sets):
-                info = set_info.get(s)
-                if info is None:
-                    info = set_info[s] = _set_geometry(s, ar)
-                rz, nz, place = info
-                dense = nz <= dense_limit
-                job = _Job(g, i, s, rz, nz, place, s + pair, nz * sc, dense)
-                row.append(job)
-                if builder is not None:
-                    job.key = key = table_key(x, y, s)
-                    entry = peek(key)
-                    if entry is not None:
-                        job.table = entry[0]
-                        memo = entry[3:]
-                        if memo and memo[0] == kind:
-                            job.memo, job.logs = memo, memo[4]
-                            job.cells = job.table[0].size
-                            results[g][i] = self._from_memo(x, y, s, memo)
-                            continue
-                (entries if dense else loose).append(job)
+        # Every (item, set) pair becomes one row of parallel per-set
+        # columns.  With a cache, resident entries are read without recency
+        # or counter effects; commit replays the cache events of the tests
+        # that count.  A resident entry memoised by this tester's kind
+        # answers its test here: the set is never built or scored.  A table
+        # key repeated within the call is planned (and built) once per
+        # occurrence, as without a cache: the commit turns every repeat
+        # into a hit.
+        lens = [len(sets) for _, _, sets in items]
+        plan = _Plan()
+        plan.sets = sets = list(chain.from_iterable(sets for _, _, sets in items))
+        n = len(sets)
+        plan.pairs = pairs = list(
+            chain.from_iterable(map(repeat, [(x, y) for x, y, _ in items], lens))
+        )
+        plan.keys = table_keys(sets, pairs)
+        plan.info = info = list(map(self._set_info.__getitem__, sets))
+        plan.grp = grp = np.repeat(np.arange(len(items)), lens)
+        plan.rx = np.array([ar[x] for x, _, _ in items], dtype=np.int64)
+        plan.ry = np.array([ar[y] for _, y, _ in items], dtype=np.int64)
+        plan.nz = nz = np.fromiter(map(_DENSE_NZ, info), np.int64, n)
+        plan.cells = cells = nz * (plan.rx * plan.ry)[grp]
+        plan.stat, plan.dof, plan.pval = [None] * n, [None] * n, [None] * n
+        plan.logs = np.zeros(n, dtype=np.int64)
+        plan.results = results = [None] * n
+        plan.tables = tables = [None] * n
+        todo = np.ones(n, dtype=np.bool_)
+        plan.resident = np.zeros(n, dtype=np.bool_)
+        if builder is not None:
+            kind = self._memo_kind
+            found = builder.cache.peek_many(plan.keys)
+            at = list(compress(range(n), found))
+            plan.resident[at] = True
+            answered = []
+            for p in at:
+                entry = found[p]
+                tables[p] = entry[0]
+                if entry[3:4] == (kind,):
+                    answered.append(p)
+            if answered:
+                # Answered from the memo: its fields, decided at this alpha.
+                todo[answered] = False
+                _kind, stat, dof, pval, logs = zip(
+                    *(found[p][3:] for p in answered), strict=True
+                )
+                for col, values in zip((plan.stat, plan.dof, plan.pval), (stat, dof, pval)):
+                    list(map(col.__setitem__, answered, values))
+                plan.logs[answered] = logs
+                cells[answered] = [tables[p][0].size for p in answered]
+                pxy = [pairs[p] for p in answered]
+                done = map(
+                    _RESULT,
+                    zip(
+                        map(_FIRST, pxy),
+                        map(_SECOND, pxy),
+                        map(sets.__getitem__, answered),
+                        stat,
+                        dof,
+                        pval,
+                        map(operator.gt, pval, repeat(self.alpha)),
+                        strict=True,
+                    ),
+                )
+                list(map(results.__setitem__, answered, done))
 
         # -- build -------------------------------------------------------- #
-        if entries:
-            for wave in self._waves(entries):
-                self._build_wave(wave, items, gshape, results)
-        for job in loose:
-            x, y, _sets = items[job.g]
-            rx, ry = gshape[job.g]
-            if job.table is None:
+        for wave in self._waves(np.flatnonzero(todo & (nz > 0)), cells):
+            self._build_wave(plan, wave)
+        for p in np.flatnonzero(todo & (nz == 0)).tolist():
+            x, y = pairs[p]
+            s = sets[p]
+            rx, ry = ar[x], ar[y]
+            if tables[p] is None:
                 counts, nz_structural, _dense = ci_counts(
                     ds.column(x),
                     ds.column(y),
-                    ds.columns(job.s),
+                    ds.columns(s),
                     rx,
                     ry,
-                    job.rz,
+                    info[p][0],
                     compress_threshold=self.compress_threshold,
                 )
-                job.table = (counts, nz_structural)
-            counts, nz_structural = job.table
-            res, job.logs = self._score(x, y, job.s, counts, nz_structural, rx, ry)
-            results[job.g][job.i] = res
-            job.cells = counts.size
-            if builder is not None:
-                job.memo = self._memo(res, job.logs)
+                tables[p] = (counts, nz_structural)
+            counts, nz_structural = tables[p]
+            res, lg = self._score(x, y, s, counts, nz_structural, rx, ry)
+            results[p] = res
+            plan.stat[p], plan.dof[p], plan.pval[p] = res[3:6]
+            plan.logs[p] = lg
+            cells[p] = counts.size
 
         # -- decide the kept prefix of every item ------------------------- #
         if decide is not None:
-            results = [[decide(r) for r in res] for res in results]  # type: ignore[arg-type]
-        keep = [len(res) for res in results]
-        if prefix is not None:
-            for g, res in enumerate(results):
-                if len(res) <= prefix:
-                    continue  # one group: kept whole
-                for k, r in enumerate(res):
-                    if r.independent:  # type: ignore[union-attr]
-                        keep[g] = min(keep[g], (k // prefix + 1) * prefix)
-                        results[g] = res[: keep[g]]
-                        break
+            plan.results = results = list(map(decide, results))
+        starts = list(accumulate(lens, initial=0))
+        keep = list(lens)
+        if prefix is not None and max(lens) > prefix:
+            # Per item longer than one group: every group up to and
+            # including the first one holding an accepting set.
+            ind = list(map(_INDEPENDENT, results))
+            for g, (b, k) in enumerate(zip(starts[:-1], lens, strict=True)):
+                if k > prefix and True in ind[b : b + k]:
+                    first = ind.index(True, b, b + k) - b
+                    keep[g] = min(k, (first // prefix + 1) * prefix)
+        out = [results[b : b + k] for b, k in zip(starts[:-1], keep, strict=True)]
 
         # -- commit: accounting (and cache events) of the kept tests ------ #
         # Commit order is the rounds a one-group-per-item engine would run:
-        # group j of every item that keeps it, then group j + 1.  A test
-        # at position i reads the endpoint columns only as the first set of
-        # its gs-group (the group-evaluation XY reuse).
-        step = prefix or max(keep, default=1) or 1
-        seq: list[tuple[int, _Job]] = []
-        rounds: list[list[_Job]] = []
-        for j in range(0, max(keep, default=0), step):
-            start = len(seq)
-            for g, row in enumerate(jobs):
-                seq.extend((i, row[i]) for i in range(j, min(j + step, keep[g])))
-            rounds.append([job for _, job in seq[start:]])
-        hits = builder.commit(rounds) if builder is not None else [False] * len(seq)
-        per_depth: dict[int, int] = {}
-        n_kept = n_hits = cells = logs = cols = 0
-        for (i, job), hit in zip(seq, hits, strict=True):
-            d = len(job.s)
-            n_kept += 1
-            cells += job.cells
-            logs += job.logs
-            per_depth[d] = per_depth.get(d, 0) + 1
-            if hit:
-                n_hits += 1
-            else:
-                cols += d if i % step else d + 2
+        # group j of every item that keeps it, then group j + 1 — a stable
+        # sort of the kept tests by round (plan order itself when every
+        # test is kept in one round).  A test at position i reads the
+        # endpoint columns only as the first set of its gs-group (the
+        # group-evaluation XY reuse).
+        step = prefix or max(keep) or 1
+        pos = np.arange(n) - np.array(starts)[grp]  # place in its item
+        if keep == lens and max(lens) <= step:
+            order = np.arange(n)
+            ends = [n]
+        else:
+            kept = np.flatnonzero(pos < np.array(keep)[grp])
+            rnd = pos[kept] // step
+            order = kept[np.argsort(rnd, kind="stable")]
+            ends = np.cumsum(np.bincount(rnd)).tolist()
+        if builder is not None:
+            cols = (plan.keys, tables, plan.stat, plan.dof, plan.pval)
+            if len(ends) > 1 or len(order) < n:  # not plan order
+                cols = [list(map(col.__getitem__, order.tolist())) for col in cols]
+            keys, tables, stat, dof, pval = cols
+            hits = np.array(
+                builder.commit(
+                    keys,
+                    tables,
+                    (self._memo_kind, stat, dof, pval, plan.logs[order].tolist()),
+                    (cells[order] * 8).tolist(),
+                    (nz[order] > 0).tolist(),
+                    ends,
+                ),
+                dtype=np.bool_,
+            )
+        else:
+            hits = np.zeros(len(order), dtype=np.bool_)
+        d = np.fromiter(map(len, sets), np.int64, n)[order]
+        miss = ~hits
+        reads = d[miss] + 2 * (pos[order][miss] % step == 0)
+        n_kept = len(order)
+        n_hits = n_kept - int(np.count_nonzero(miss))
         counters = self.counters
         if builder is not None:
             counters.cache_hits += n_hits
             counters.cache_misses += n_kept - n_hits
         counters.n_tests += n_kept
-        counters.data_accesses += m * cols
-        counters.table_cells += cells
-        counters.log_ops += logs
+        counters.data_accesses += m * int(reads.sum())
+        counters.table_cells += int(cells[order].sum())
+        counters.log_ops += int(plan.logs[order].sum())
+        # New depths enter ``per_depth_tests`` in commit order, as the
+        # looped path would record them.
         pdt = counters.per_depth_tests
-        for d, c in per_depth.items():
-            pdt[d] = pdt.get(d, 0) + c
-        return results  # type: ignore[return-value]
+        per_depth = np.bincount(d).tolist()
+        for dd in dict.fromkeys(d.tolist()):
+            pdt[dd] = pdt.get(dd, 0) + per_depth[dd]
+        return out  # type: ignore[return-value]
 
-    def _waves(self, entries: list[_Job]) -> list[list[_Job]]:
-        """Split the dense jobs, in plan order, into waves under the wave
-        caps (module constants).
+    def _waves(self, dense: np.ndarray, cells: np.ndarray) -> list[np.ndarray]:
+        """Split the dense sets ``dense`` (plan positions, in plan order)
+        into waves under the wave caps (module constants).
 
         A wave is scored in one flat pass whatever its mix of table
-        shapes, and per-set results do not depend on which wave a job
+        shapes, and per-set results do not depend on which wave a set
         lands in (cache events are replayed at commit, in plan order).  A
-        single oversized job still gets a one-job wave — the caps bound
+        single oversized set still gets a one-set wave — the caps bound
         steady-state arena footprint, they are not admission control.
         """
+        if not len(dense):
+            return []
         max_rows = max(_MAX_WAVE_CODES // max(self.dataset.n_samples, 1), 1)
-        waves: list[list[_Job]] = []
-        wave: list[_Job] = []
-        cells = 0
-        for e in entries:
-            if wave and (cells + e.cells > _MAX_WAVE_CELLS or len(wave) >= max_rows):
-                waves.append(wave)
-                wave, cells = [], 0
-            wave.append(e)
-            cells += e.cells
-        if wave:
-            waves.append(wave)
+        sizes = cells[dense]
+        if len(dense) <= max_rows and int(sizes.sum()) <= _MAX_WAVE_CELLS:
+            return [dense]
+        waves: list[np.ndarray] = []
+        start = total = 0
+        for i, c in enumerate(sizes.tolist()):
+            if i > start and (total + c > _MAX_WAVE_CELLS or i - start >= max_rows):
+                waves.append(dense[start:i])
+                start, total = i, 0
+            total += c
+        waves.append(dense[start:])
         return waves
 
-    def _build_wave(
-        self,
-        wave: list[_Job],
-        items: list[tuple[int, int, list[tuple[int, ...]]]],
-        gshape: list[tuple[int, int]],
-        results: list[list[CITestResult | None]],
-    ) -> None:
-        """Fused build + statistics for one wave of dense jobs.
+    def _build_wave(self, plan: _Plan, wave: np.ndarray) -> None:
+        """Fused build + statistics for one wave of dense sets (plan
+        positions).
 
         Tables are laid out back to back in span order (``nz * rx * ry``,
-        stable), so every run of equal-span sets is one contiguous block
-        of the histogram.  Jobs whose table is already resident in the
-        stats cache (but not memoised by this tester's kind, which the
-        plan answers) take a slot like built ones (their table is copied
-        in), so one scoring pass covers hits and builds alike.  With a
-        cache, every job leaves with its score memo and every built job
-        with a standalone copy of its table.
+        then ``rx``, then ``ry``; stable), so every run of equal-span sets
+        is one contiguous block of the histogram, and every run of
+        equal-shape sets one ``(count, nz, rx, ry)`` block.  Sets whose
+        table is already resident in the stats cache (but not memoised by
+        this tester's kind, which the plan answers) take a slot like built
+        ones (their table is copied in), so one scoring pass covers hits
+        and builds alike.  With a cache, every set leaves with its score
+        memo and every built set with a standalone copy of its table.
         """
         builder = self._builder
         arena = self.arena
-        lay = sorted(wave, key=_CELLS)
-        geo = np.array([gshape[e.g] + (e.nz,) for e in lay], dtype=np.intp)
-        span = geo[:, 0] * geo[:, 1] * geo[:, 2]
-        off = np.zeros(len(lay), dtype=np.intp)
+        tables = plan.tables
+        g = plan.grp[wave]
+        rx, ry, span = plan.rx[g], plan.ry[g], plan.cells[wave]
+        order = np.lexsort((ry, rx, span))
+        lay = wave[order]
+        geo = np.empty((len(lay), 3), dtype=np.int64)
+        geo[:, 0] = rx[order]
+        geo[:, 1] = ry[order]
+        geo[:, 2] = plan.nz[lay]
+        span = span[order]
+        off = np.zeros(len(lay), dtype=np.int64)
         np.cumsum(span[:-1], out=off[1:])
         total = int(off[-1] + span[-1])
-        for e, o in zip(lay, off.tolist(), strict=True):
-            e.offset = o
-        built = lay if builder is None else [e for e in lay if e.table is None]
-        if built:
-            counts = self._count(built, total, gshape)
+        at = lay.tolist()
+        resident = plan.resident[lay]
+        built = np.flatnonzero(~resident)
+        if len(built):
+            counts = self._count(plan, lay[built], off[built], total)
         else:
             counts = arena.take("hist", (total,), np.int64)
-        if len(built) < len(lay):
-            for e in lay:
-                if e.table is not None:
-                    counts[e.offset : e.offset + e.cells] = e.table[0].reshape(-1)
+        for r in np.flatnonzero(resident).tolist():
+            o = int(off[r])
+            counts[o : o + int(span[r])] = tables[at[r]][0].reshape(-1)
 
         sums, dofs, logs = self._score_wave(counts, geo, off, span, arena)
         # Finalisation (scale/clamp) is elementwise, so one whole-wave call
@@ -798,29 +866,35 @@ class ContingencyTableTest:
         ps = chi2_sf_array(stats, dofs)
         # ``p > alpha`` vectorised over float64 is the same comparison the
         # looped path makes per test.
-        kind = None if builder is None else self._memo_kind
-        for e, stat, dof, p, ind, lg in zip(
-            lay,
-            stats.tolist(),
-            dofs.tolist(),
-            ps.tolist(),
-            (ps > self.alpha).tolist(),
-            logs.tolist(),
-            strict=True,
+        stats, dofs, pvals = stats.tolist(), dofs.tolist(), ps.tolist()
+        for col, values in zip((plan.stat, plan.dof, plan.pval), (stats, dofs, pvals)):
+            list(map(col.__setitem__, at, values))
+        pxy = list(map(plan.pairs.__getitem__, at))
+        done = map(
+            _RESULT,
+            zip(
+                map(_FIRST, pxy),
+                map(_SECOND, pxy),
+                map(plan.sets.__getitem__, at),
+                stats,
+                dofs,
+                pvals,
+                (ps > self.alpha).tolist(),
+                strict=True,
+            ),
+        )
+        results = plan.results
+        list(map(results.__setitem__, at, done))
+        plan.logs[lay] = logs
+        if builder is None or not len(built):
+            return
+        # Standalone copies of the built tables: a view would pin the whole
+        # (arena) histogram in the byte-budgeted cache while billing only
+        # the slice, and the next wave overwrites it.
+        for p, o, (rx, ry, z) in zip(
+            lay[built].tolist(), off[built].tolist(), geo[built].tolist(), strict=True
         ):
-            x, y, _sets = items[e.g]
-            results[e.g][e.i] = CITestResult(x, y, e.s, stat, dof, p, ind)
-            e.logs = lg
-            if kind is not None:
-                e.memo = (kind, stat, dof, p, lg)
-        if builder is not None:
-            for e in built:
-                # Materialise a standalone copy: a view would pin the whole
-                # (arena) histogram in the byte-budgeted cache while billing
-                # only the slice, and the next wave overwrites it.
-                rx, ry = gshape[e.g]
-                table = counts[e.offset : e.offset + e.cells].reshape(e.nz, rx, ry).copy()
-                e.table = (table, e.nz)
+            tables[p] = (counts[o : o + rx * ry * z].reshape(z, rx, ry).copy(), z)
 
     def _score_wave(
         self,
@@ -834,55 +908,25 @@ class ContingencyTableTest:
         one flat pass over its cells.
 
         Set ``r`` (row ``(rx, ry, nz)`` of ``geo``) owns the ``span[r]``
-        cells from ``off[r]``, in span order.  Every cell's three marginals
-        are segment sums of integer counts — exact in float64 in any
-        summation order — gathered back to the cell, so the per-cell
-        formula sees exactly the values the looped oracle broadcasts.  The
-        terms of each run of equal-span sets are then summed as the rows
-        of one contiguous ``(count, span)`` block: the value sequence the
-        oracle reduces per table, so the pairwise float sums are
-        bit-identical.  All cell-sized scratch is arena slots.
+        cells from ``off[r]``, in span order.  Every cell's count and
+        three marginals come from one integer pass
+        (:func:`~repro.citests.contingency.wave_marginals`: native, or
+        NumPy segment sums), exact in float64, so the per-cell formula
+        sees exactly the values the looped oracle broadcasts.  The terms
+        of each run of equal-span sets are then summed as the rows of one
+        contiguous ``(count, span)`` block: the value sequence the oracle
+        reduces per table, so the pairwise float sums are bit-identical.
+        All cell-sized scratch is arena slots.
         """
         total = counts.shape[0]
         n = off.shape[0]
-        rx, ry, nz = geo[:, 0], geo[:, 1], geo[:, 2]
 
         def cells(key: str, dtype) -> np.ndarray:
             return arena.take("ew_" + key, (total,), dtype)
 
-        # The set of every cell (ones at set starts, summed), and the
-        # cell's position in its own table (a running count reset to zero
-        # at every set start).
-        job = cells("job", np.intp)
-        job.fill(0)
-        job[off[1:]] = 1
-        np.cumsum(job, out=job)
-        loc = cells("loc", np.intp)
-        loc.fill(1)
-        loc[0] = 0
-        loc[off[1:]] = 1 - span[:-1]
-        np.cumsum(loc, out=loc)
-        # Cell coordinates: y, and the position inside its z-slice.
-        y = cells("y", np.intp)
-        np.remainder(loc, np.take(ry, job, out=y, mode="clip"), out=y)
-        zpos = cells("zpos", np.intp)
-        np.remainder(loc, np.take(rx * ry, job, out=zpos, mode="clip"), out=zpos)
-        # Dense 1-based marginal ids: an (x, z) row starts where y == 0, a
-        # z-slice where its position is 0; a (y, z) column is slice and y.
-        first = cells("first", np.bool_)
-        xz = job
-        np.cumsum(np.equal(y, 0, out=first), out=xz)
-        zid = loc
-        np.cumsum(np.equal(zpos, 0, out=first), out=zid)
-        yz = zpos
-        np.multiply(zid, int(ry.max()), out=yz)
-        yz += y
-        obs = cells("obs", np.float64)
-        np.copyto(obs, counts)
-        slice_tot = np.bincount(zid, weights=obs)
-        n_xz = np.take(np.bincount(xz, weights=obs), xz, out=cells("nxz", np.float64), mode="clip")
-        n_yz = np.take(np.bincount(yz, weights=obs), yz, out=cells("nyz", np.float64), mode="clip")
-        n_z = np.take(slice_tot, zid, out=cells("nz", np.float64), mode="clip")
+        obs, n_xz, n_yz, n_z, nonempty = wave_marginals(
+            counts, geo, off, cells, use_native=self.use_native
+        )
         terms, mask = self._elementwise(obs, n_xz, n_yz, n_z, cells)
 
         # Log billing: integer cell counts are order-independent, so one
@@ -890,57 +934,59 @@ class ContingencyTableTest:
         # per-table ``count_nonzero`` would.
         logs = np.add.reduceat(mask, off, dtype=np.int64)
         sums = np.empty(n, dtype=np.float64)
-        spans = span.tolist()
-        a = 0
-        while a < n:
-            width = spans[a]
-            b = a + 1
-            while b < n and spans[b] == width:
-                b += 1
+        cuts = (np.flatnonzero(span[1:] != span[:-1]) + 1).tolist()
+        for a, b in zip([0, *cuts], [*cuts, n], strict=True):
+            width = int(span[a])
             o = int(off[a])
             sums[a:b] = terms[o : o + (b - a) * width].reshape(b - a, width).sum(axis=1)
-            a = b
-        dof_xy = ((rx - 1) * (ry - 1)).astype(np.float64)
+        dof_xy = ((geo[:, 0] - 1) * (geo[:, 1] - 1)).astype(np.float64)
         if self.dof_adjust == "structural":
-            return sums, dof_xy * nz.astype(np.float64), logs
-        zbase = np.zeros(n, dtype=np.intp)
-        np.cumsum(nz[:-1], out=zbase[1:])
-        nonempty = np.add.reduceat(slice_tot[1:] > 0, zbase, dtype=np.int64)
+            return sums, dof_xy * geo[:, 2].astype(np.float64), logs
         return sums, dof_xy * np.maximum(nonempty, 1).astype(np.float64), logs
 
     def _count(
         self,
-        rows: list[_Job],
+        plan: _Plan,
+        rows: np.ndarray,
+        offsets: np.ndarray,
         total: int,
-        gshape: list[tuple[int, int]],
     ) -> np.ndarray:
-        """Flat histogram of ``total`` cells holding the tables of ``rows``
-        (jobs with laid-out offsets).
+        """Flat histogram of ``total`` cells holding the tables of the
+        plan positions ``rows`` at bases ``offsets``.
 
         The plan arrays are assembled without per-row arithmetic: every
-        row's place values come from the set memo and are scaled by one
-        vectorised multiply — ``rx * ry`` for the conditioning columns,
-        ``ry`` for ``x`` and ``1`` for ``y``.
+        row's columns are its table key's variables ``s + (x, y)``, its place values
+        come from the set memo and are scaled by one vectorised multiply —
+        ``rx * ry`` for the conditioning columns, ``ry`` for ``x`` and
+        ``1`` for ``y``.
         """
         n = len(rows)
-        k = np.fromiter((len(e.vars) for e in rows), np.int64, n)
+        at = rows.tolist()
+        k = np.fromiter(map(len, map(plan.sets.__getitem__, at)), np.int64, n) + 2
         ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(k, out=ptr[1:])
         size = int(ptr[-1])
-        vars_ = np.fromiter(chain.from_iterable(e.vars for e in rows), np.int64, size)
-        strides = np.fromiter(chain.from_iterable(e.place for e in rows), np.int64, size)
-        shp = np.array([gshape[e.g] for e in rows], dtype=np.int64).reshape(n, 2)
-        scale = np.repeat(shp[:, 0] * shp[:, 1], k)
-        scale[ptr[1:] - 2] = shp[:, 1]
+        vars_ = np.fromiter(
+            chain.from_iterable(map(table_key_vars, map(plan.keys.__getitem__, at))),
+            np.int64,
+            size,
+        )
+        strides = np.fromiter(
+            chain.from_iterable(map(_PLACE, map(plan.info.__getitem__, at))), np.int64, size
+        )
+        g = plan.grp[rows]
+        ry = plan.ry[g]
+        scale = np.repeat(plan.rx[g] * ry, k)
+        scale[ptr[1:] - 2] = ry
         scale[ptr[1:] - 1] = 1
         strides *= scale
-        offsets = np.fromiter((e.offset for e in rows), np.int64, n)
         native_ok = self.use_native and native_available()
+        cols = self._columns()
         # Native: whole cell indices; NumPy: row-local codes (see
         # ``_cell_dtype``).
-        limit = total if native_ok else max(e.cells for e in rows)
+        limit = total if native_ok else int(plan.cells[rows].max())
         return column_counts(
-            self._columns(),
+            cols,
             ptr,
             vars_,
             strides,
@@ -949,4 +995,5 @@ class ContingencyTableTest:
             _cell_dtype(limit, narrow=not native_ok),
             arena=self.arena,
             use_native=native_ok,
+            col_max=self._col_max,
         )

@@ -12,9 +12,9 @@ conditioning sets on-the-fly").  Given ``p`` candidate elements, subset size
 from __future__ import annotations
 
 from math import comb
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
-__all__ = ["unrank_combination", "rank_combination", "iter_combination_indices", "comb"]
+__all__ = ["unrank_combination", "rank_combination", "comb"]
 
 
 def unrank_combination(p: int, q: int, r: int) -> tuple[int, ...]:
@@ -60,39 +60,3 @@ def rank_combination(p: int, combination: Sequence[int]) -> int:
         prev = c
         remaining -= 1
     return rank
-
-
-def iter_combination_indices(
-    p: int, q: int, start: int, count: int, after: Sequence[int] | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Yield ``count`` consecutive combinations starting at rank ``start``.
-
-    The first is unranked (O(p)); successors are generated by the standard
-    lexicographic successor step (amortised O(q)), which is how a thread
-    walks through its gs-sized group without re-unranking every member.
-    ``after`` — the combination at rank ``start - 1``, when the caller
-    still holds it — replaces the unranking by one more successor step.
-    """
-    total = comb(p, q)
-    if count <= 0:
-        return
-    if not 0 <= start < total:
-        raise ValueError(f"start {start} out of range [0, {total})")
-    count = min(count, total - start)
-    if after is None:
-        current = list(unrank_combination(p, q, start))
-        yield tuple(current)
-        count -= 1
-    else:
-        current = list(after)
-    for _ in range(count):
-        # Lexicographic successor: find the rightmost element that can grow.
-        i = q - 1
-        while i >= 0 and current[i] == p - q + i:
-            i -= 1
-        if i < 0:
-            return
-        current[i] += 1
-        for j in range(i + 1, q):
-            current[j] = current[j - 1] + 1
-        yield tuple(current)

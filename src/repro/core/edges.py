@@ -3,9 +3,12 @@
 An :class:`EdgeTask` bundles everything a thread needs to process one edge
 at the current depth: the two endpoints, the *snapshot* candidate sets of
 both endpoints (PC-stable order independence), the combination counts on
-each side and the current progress ``r``.  Conditioning sets are produced by
-unranking ``r`` on demand (paper Sec. IV-C) so the work pool holds no subset
-lists — the task *is* the paper's ``(edge, progress)`` pool entry.
+each side and the current progress ``r``.  Conditioning sets are generated
+on the fly (paper Sec. IV-C) so the work pool holds no subset lists — the
+task *is* the paper's ``(edge, progress)`` pool entry: random access
+unranks ``r`` (:meth:`EdgeTask.conditioning_set`), and the sequential
+stream :meth:`EdgeTask.next_group` pulls consecutive sets from a C-level
+``itertools.combinations`` cursor over the current side.
 
 The global rank ``r`` spans side 1 (subsets of ``adj(G, Vi) \\ {Vj}``) first
 and then side 2 (subsets of ``adj(G, Vj) \\ {Vi}``) — the "grouping of edges
@@ -15,15 +18,17 @@ never accepted independence.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import combinations, islice
 from math import comb
 
-from .combinadic import iter_combination_indices, unrank_combination
+from .combinadic import unrank_combination
 
 __all__ = ["EdgeTask"]
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeTask:
     """Work-pool entry: one undirected edge and its CI-test progress.
 
@@ -39,11 +44,16 @@ class EdgeTask:
     progress:
         Global rank of the next CI test to perform (``r`` in the paper).
 
-    The task also keeps a successor cursor: the last window of sets
-    :meth:`next_group` produced and the combination indices of its last
-    member.  A later call whose start lies inside or right after that
-    window reuses the window's uncommitted tail and continues by successor
-    steps instead of unranking from ``progress`` again.
+    The task also keeps a successor cursor for :meth:`next_group`: an
+    ``itertools.combinations(side, depth)`` iterator over the current side
+    and the global rank of the next set it yields, plus the last window of
+    sets the method produced.  A later call whose start lies inside or
+    right after that window reuses the window's uncommitted tail and pulls
+    the rest from the cursor with ``islice`` — consecutive sets in
+    lexicographic order, generated in C, with no unranking.  A start
+    outside the window (``progress`` moved by hand) re-positions the
+    cursor by a C-level skip: forward from where it stands, or from the
+    start of the side.
     """
 
     u: int
@@ -56,7 +66,10 @@ class EdgeTask:
     c2: int = field(init=False)
     _win_at: int = field(default=-1, init=False, repr=False, compare=False)
     _win: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _last: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
+    _cur: Iterator[tuple[int, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _cur_at: int = field(default=-1, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.u == self.v:
@@ -100,45 +113,51 @@ class EdgeTask:
 
     def next_group(self, gs: int) -> list[tuple[int, ...]]:
         """The next ``gs`` conditioning sets from ``progress`` (fewer when the
-        edge is nearly exhausted).  Uses the successor iterator within each
-        side so only the first member of each side segment pays the
-        unranking cost — and not even that when the successor cursor (class
-        docstring) covers ``progress``."""
+        edge is nearly exhausted), pulled from the successor cursor (class
+        docstring); a window's uncommitted tail is reused as is."""
         if gs < 1:
             raise ValueError("group size must be >= 1")
         start = self.progress
-        count = min(gs, self.total_tests - start)
+        count = min(gs, self.c1 + self.c2 - start)
         win = self._win
-        off = start - self._win_at
-        if self._win_at >= 0 and 0 <= off <= len(win):
-            out = win[off : off + count]
-            if len(out) == count:
-                return out
-            out += self._walk(self._win_at + len(win), count - len(out), self._last)
-        else:
-            out = self._walk(start, count, None)
-        self._win_at, self._win = start, out
+        at = self._win_at
+        if at >= 0 and at <= start <= at + len(win):
+            out = win[start - at : start - at + count]
+            if len(out) < count:
+                out += self._walk(at + len(win), count - len(out))
+                self._win_at, self._win = start, out
+            return out
+        out = self._win = self._walk(start, count)
+        self._win_at = start
         return out
 
-    def _walk(
-        self, r: int, count: int, prev: tuple[int, ...] | None
-    ) -> list[tuple[int, ...]]:
-        """``count`` sets from global rank ``r``; ``prev`` holds the
-        combination indices of rank ``r - 1`` when known."""
+    def _walk(self, r: int, count: int) -> list[tuple[int, ...]]:
+        """``count`` consecutive sets from global rank ``r``."""
         out: list[tuple[int, ...]] = []
-        for side, base, c in ((self.side1, 0, self.c1), (self.side2, self.c1, self.c2)):
-            if count <= 0:
-                break
-            if r >= base + c:
-                continue
-            take = min(count, base + c - r)
-            idx = prev if r > base else None
-            for idx in iter_combination_indices(len(side), self.depth, r - base, take, idx):
-                out.append(tuple(side[i] for i in idx))
-            self._last = idx  # type: ignore[assignment]
+        while count > 0:
+            if self._cur_at != r:
+                self._seek(r)
+            end = self.c1 if r < self.c1 else self.c1 + self.c2
+            take = min(count, end - r)
+            out += islice(self._cur, take)
             r += take
             count -= take
+            # A side's exhausted cursor is dropped: the next rank belongs
+            # to the other side.
+            self._cur, self._cur_at = (None, -1) if r == end else (self._cur, r)
         return out
+
+    def _seek(self, r: int) -> None:
+        """Position the cursor so it yields global rank ``r`` next: skip
+        forward when it stands earlier on the same side, else start the
+        side's iterator afresh and skip to ``r``."""
+        side, base = (self.side1, 0) if r < self.c1 else (self.side2, self.c1)
+        at = self._cur_at
+        if self._cur is None or (at < self.c1) != (r < self.c1) or at > r:
+            self._cur, at = combinations(side, self.depth), base
+        if r > at:
+            next(islice(self._cur, r - at - 1, None))
+        self._cur_at = r
 
     def advance(self, n: int) -> None:
         self.progress += n

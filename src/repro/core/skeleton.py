@@ -270,48 +270,51 @@ def learn_skeleton(
         )
 
         pool = WorkPool()
-        for task in reversed(tasks):
-            pool.push(task)
+        pool.push_many(tasks[::-1])
 
         hits: list[Hit] = []
         while pool:
             batch = pool.pop_many(ROUND_CAP)
             width = gs * LOOKAHEAD if not pool and len(batch) < SPEC_BELOW else gs
-            items = []
-            for task in batch:
-                if materialised is None:
-                    sets = task.next_group(width)
-                else:
+            if materialised is None:
+                items = [(task.u, task.v, task.next_group(width)) for task in batch]
+            else:
+                items = []
+                for task in batch:
                     start = task.progress
                     sets = materialised[rank[id(task)]][start : start + width]
-                items.append((task.u, task.v, sets))
+                    items.append((task.u, task.v, sets))
             unfinished = []
+            n_tests = n_groups = 0
             for task, kept in zip(batch, evaluate_prefix(tester, items, gs), strict=True):
-                task.advance(len(kept))
-                d_stats.n_tests += len(kept)
-                if len(kept) <= gs:
+                n_kept = len(kept)
+                task.advance(n_kept)
+                n_tests += n_kept
+                if n_kept <= gs:
                     groups = [kept]
                 else:
-                    groups = [kept[b : b + gs] for b in range(0, len(kept), gs)]
+                    groups = [kept[b : b + gs] for b in range(0, n_kept, gs)]
                     # Every kept group past the first stands for one more
                     # one-group round: a pop, and a push back before it.
                     pool.count_cycles(len(groups) - 1)
-                d_stats.n_groups += len(groups)
+                n_groups += len(groups)
                 if traced is not None:
                     for results in groups:
                         traced[rank[id(task)]].append(_test_records(task, results, tester))
                 last = groups[-1]
-                first_idx = next((i for i, r in enumerate(last) if r.independent), -1)
-                if first_idx >= 0:
+                accepts = [r.independent for r in last]
+                if True in accepts:
+                    first_idx = accepts.index(True)
                     # Tests executed after the accepting one (within its
                     # group) are the gs redundancy of Fig. 4.
                     d_stats.n_redundant_tests += len(last) - 1 - first_idx
                     hits.append((rank[id(task)], task.u, task.v, last[first_idx].s))
                 elif not task.done:
                     unfinished.append(task)
+            d_stats.n_tests += n_tests
+            d_stats.n_groups += n_groups
             # Pushed back lowest rank on top: rounds sweep items in order.
-            for task in reversed(unfinished):
-                pool.push(task)
+            pool.push_many(unfinished[::-1])
 
         if traced is not None:
             for task, groups in zip(tasks, traced, strict=True):

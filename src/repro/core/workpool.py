@@ -39,13 +39,22 @@ class WorkPool:
         self._pops += 1
         return self._stack.pop()
 
+    def push_many(self, tasks: list[EdgeTask]) -> None:
+        """Push ``tasks`` in order (the last one ends on top)."""
+        self._stack += tasks
+        self._pushes += len(tasks)
+        if len(self._stack) > self._peak:
+            self._peak = len(self._stack)
+
     def pop_many(self, k: int) -> list[EdgeTask]:
-        """Pop up to ``k`` tasks (the paper pops one per thread per round)."""
+        """Pop up to ``k`` tasks (the paper pops one per thread per round),
+        top first."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        out: list[EdgeTask] = []
-        while self._stack and len(out) < k:
-            out.append(self.pop())
+        stack = self._stack
+        out = stack[: -k - 1 : -1]
+        del stack[len(stack) - len(out) :]
+        self._pops += len(out)
         return out
 
     def count_cycles(self, n: int) -> None:

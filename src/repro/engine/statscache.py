@@ -61,10 +61,11 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from collections.abc import Hashable, Iterable, Sequence
+from itertools import compress, repeat
 
 import numpy as np
 
-from ..citests.contingency import ci_counts
+from ..citests.contingency import ci_counts, table_key
 from ..datasets.dataset import DiscreteDataset
 
 __all__ = ["CacheStats", "SufficientStatsCache", "CachedTableBuilder"]
@@ -215,10 +216,16 @@ class SufficientStatsCache:
         """A resident entry (value and memo) without any side effect (no
         recency, counter, or spill event); ``None`` when absent or a
         pending slot."""
-        entry = self._entries.get(key)
-        if entry is None or _is_pending(entry):
-            return None
-        return entry
+        return self.peek_many((key,))[0]
+
+    def peek_many(self, keys: Sequence[Hashable]) -> list[Entry | None]:
+        """:meth:`peek` of every key, in order (the fused planner's one
+        pass over a call's keys)."""
+        found = list(map(self._entries.get, keys))
+        for i in compress(range(len(found)), found):
+            if _is_pending(found[i]):
+                found[i] = None
+        return found
 
     def _get_locked(self, key: Hashable) -> Entry | None:
         entry = self._entries.get(key)
@@ -376,29 +383,39 @@ class CachedTableBuilder:
         self.cache = cache
         self.compress_threshold = int(compress_threshold)
 
-    @staticmethod
-    def table_key(x: int, y: int, s: tuple[int, ...]) -> tuple:
-        """``("t", v0, v1, ..., x, y)``: conditioning variables first,
-        endpoints last — the table's axis order."""
-        return ("t",) + s + (x, y)
+    #: ``("t", v0, v1, ..., x, y)``: the table's key
+    #: (:func:`repro.citests.contingency.table_key`).
+    table_key = staticmethod(table_key)
 
-    def commit(self, rounds: Iterable[Sequence]) -> list[bool]:
+    def commit(
+        self,
+        keys: Sequence[tuple],
+        tables: Sequence[tuple | None],
+        memos: Sequence,
+        nbytes: Sequence[int],
+        dense: Sequence[bool],
+        ends: Sequence[int],
+    ) -> list[bool]:
         """Replay the cache events of already-evaluated tests, in order.
 
         The fused kernel plans and builds without touching the cache, then
-        hands the tests it keeps here as *rounds* of jobs; a job carries
-        ``key`` (its :meth:`table_key`), ``dense``, ``cells``, ``table``
-        (``(counts, nz_structural)``) and ``memo`` (its score).  For each
-        test this makes exactly the events a one-test-at-a-time evaluation
-        of the same stream would make: one table lookup (a hit ends there),
-        else one store.  Recency, evictions, spill traffic and counters
+        hands the tests it keeps here as parallel per-test lists, in
+        commit order: each test's ``key`` (its :meth:`table_key`), its
+        ``table`` (``(counts, nz_structural)``), the ``nbytes`` a stored
+        table bills (8 per int64 cell) and whether it is ``dense``; its
+        score memo comes as columns, ``memos = (kind, statistics, dofs,
+        p_values, n_logs)`` with one kind for the call; ``ends`` closes each
+        *round* (one exclusive end index per round).  For each test this
+        makes exactly the events a one-test-at-a-time evaluation of the
+        same stream would make: one table lookup (a hit ends there), else
+        one store.  Recency, evictions, spill traffic and counters
         therefore match per-set evaluation, under one lock acquisition.
         The entry each test hits or stores takes the test's memo.
 
         A round that cannot evict — no spill tier, and the free budget
-        holds every table it could store (``8 * cells`` bytes per test, the
-        int64 size a stored table has at most) — is replayed in one pass
-        that inserts finished entries.  Any other round stores a dense
+        holds every table it could store — is replayed in one pass that
+        inserts finished entries (and a call none of whose rounds can
+        evict, all of them in one pass).  Any other round stores a dense
         table as a sized reservation filled when its round ends, and a
         compressed one directly, so a slot evicted inside its own round is
         dropped, as per-set evaluation would drop it.
@@ -406,73 +423,101 @@ class CachedTableBuilder:
         Returns one flag per test: ``True`` for a table hit.
         """
         cache = self.cache
+        kind, *columns = memos
         hits: list[bool] = []
+        a = 0
         with cache._lock:
-            for rnd in rounds:
-                if cache._spill is None and (
-                    cache.current_bytes + 8 * sum(job.cells for job in rnd) <= cache.max_bytes
-                ):
-                    self._commit_round_fitting(rnd, hits)
+            if cache._spill is None and cache.current_bytes + sum(nbytes) <= cache.max_bytes:
+                # No round can evict, and replaying rounds one after the
+                # other is replaying their concatenation: one pass.
+                ends = [len(keys)]
+            for b in ends:
+                rnd_memos = [kind] + [col[a:b] for col in columns]
+                rnd = (keys[a:b], tables[a:b], rnd_memos, nbytes[a:b], dense[a:b])
+                if cache._spill is None and cache.current_bytes + sum(rnd[3]) <= cache.max_bytes:
+                    self._commit_round_fitting(*rnd, hits)
                 else:
-                    self._commit_round_evicting(rnd, hits)
+                    self._commit_round_evicting(*rnd, hits)
+                a = b
         return hits
 
-    def _commit_round_fitting(self, rnd: Sequence, hits: list[bool]) -> None:
-        """One-pass replay of a round that cannot evict (see :meth:`commit`)."""
+    def _commit_round_fitting(
+        self,
+        keys: Sequence[tuple],
+        tables: Sequence,
+        memos: Sequence,
+        nbytes: Sequence[int],
+        dense: Sequence[bool],
+        hits: list[bool],
+    ) -> None:
+        """One-pass replay of a round that cannot evict (see :meth:`commit`);
+        the arguments are the round's slices of :meth:`commit`'s lists."""
         cache = self.cache
         entries = cache._entries
         get = entries.get
         to_end = entries.move_to_end
+        kind, stats, dofs, pvals, logs = memos
         n_hits = n_puts = added = 0
-        for job in rnd:
-            key = job.key
+        for key, value in zip(
+            keys,
+            zip(tables, nbytes, repeat("table"), repeat(kind), stats, dofs, pvals, logs),
+            strict=True,
+        ):
             entry = get(key)
             if entry is not None:
                 to_end(key)
                 n_hits += 1
                 hits.append(True)
-                if entry[3:] != job.memo:
-                    entries[key] = entry[:3] + job.memo
+                if entry[3:] != value[3:]:
+                    entries[key] = entry[:3] + value[3:]
                 continue
             hits.append(False)
-            table = job.table
-            nbytes = job.cells * 8 if job.dense else table[0].nbytes
-            entries[key] = (table, nbytes, "table") + job.memo
-            added += nbytes
+            entries[key] = value
+            added += value[1]
             n_puts += 1
         cache.hits += n_hits
-        cache.misses += len(rnd) - n_hits
+        cache.misses += len(keys) - n_hits
         cache.puts += n_puts
         cache.current_bytes += added
 
-    def _commit_round_evicting(self, rnd: Sequence, hits: list[bool]) -> None:
-        """Reserve-then-fill replay of a round that may evict."""
+    def _commit_round_evicting(
+        self,
+        keys: Sequence[tuple],
+        tables: Sequence,
+        memos: Sequence,
+        nbytes: Sequence[int],
+        dense: Sequence[bool],
+        hits: list[bool],
+    ) -> None:
+        """Reserve-then-fill replay of a round that may evict (same
+        arguments as :meth:`_commit_round_fitting`)."""
         cache = self.cache
         entries = cache._entries
+        kind, *columns = memos
         reserved = []
-        for job in rnd:
-            key = job.key
+        for key, table, memo, size, is_dense in zip(
+            keys, tables, zip(repeat(kind), *columns), nbytes, dense, strict=True
+        ):
             entry = cache._get_locked(key)
             if entry is not None:
                 cache.hits += 1
                 hits.append(True)
                 if entries.get(key) is entry:  # a promote may not stay resident
-                    entries[key] = entry[:3] + job.memo
+                    entries[key] = entry[:3] + memo
                 continue
             cache.misses += 1
             hits.append(False)
-            if job.dense:
+            if is_dense:
                 # int64 cells: what the wave's histogram holds.
-                cache._put_locked(key, (_PENDING, job.table[1]), job.cells * 8, "table")
-                reserved.append(job)
+                cache._put_locked(key, (_PENDING, table[1]), size, "table")
+                reserved.append((key, table, memo))
             else:
-                table = job.table
-                cache._insert_locked(key, table, table[0].nbytes, "table", job.memo)
+                cache._insert_locked(key, table, size, "table", memo)
                 cache._evict_locked()
-        for job in reserved:
-            entry = entries.get(job.key)
+        for key, table, memo in reserved:
+            entry = entries.get(key)
             if entry is not None:
-                entries[job.key] = (job.table,) + entry[1:3] + job.memo
+                entries[key] = (table,) + entry[1:3] + memo
 
     def ci_counts(
         self, x: int, y: int, s: tuple[int, ...]

@@ -101,9 +101,12 @@ class TestBatchedMatchesLooped:
         shapes = []
         build_wave = tb.ContingencyTableTest._build_wave
 
-        def spy(self, wave, items, gshape, results):
-            shapes.append({gshape[e.g] + (e.nz,) for e in wave})
-            return build_wave(self, wave, items, gshape, results)
+        def spy(self, plan, wave):
+            g = plan.grp[wave]
+            shapes.append(
+                set(zip(plan.rx[g].tolist(), plan.ry[g].tolist(), plan.nz[wave].tolist(), strict=True))
+            )
+            return build_wave(self, plan, wave)
 
         monkeypatch.setattr(tb.ContingencyTableTest, "_build_wave", spy)
         fused = _make_tester(cls, mixed_data, batch=True, cache=cache, dof_adjust=dof_adjust)

@@ -1,4 +1,5 @@
-"""Combination unranking tests (vs itertools ground truth)."""
+"""Combination unranking tests (vs itertools ground truth), and the
+sequential conditioning-set stream that walks consecutive ranks."""
 
 from __future__ import annotations
 
@@ -7,11 +8,8 @@ from math import comb
 
 import pytest
 
-from repro.core.combinadic import (
-    iter_combination_indices,
-    rank_combination,
-    unrank_combination,
-)
+from repro.core.combinadic import rank_combination, unrank_combination
+from repro.core.edges import EdgeTask
 
 
 class TestUnrank:
@@ -57,24 +55,33 @@ class TestRank:
             rank_combination(5, (1, 7))  # out of range
 
 
+def _stream(p: int, q: int, start: int, count: int) -> list[tuple[int, ...]]:
+    """``count`` consecutive ``q``-combinations of ``range(p)`` from rank
+    ``start``, as an edge task's one-sided set stream yields them."""
+    t = EdgeTask(p, p + 1, side1=tuple(range(p)), side2=(), depth=q)
+    t.advance(start)
+    return t.next_group(count) if count else []
+
+
 class TestIterator:
+    """Consecutive ranks come from ``EdgeTask.next_group``'s cursor."""
+
     @pytest.mark.parametrize("p,q,start,count", [(8, 3, 0, 10), (8, 3, 20, 30), (6, 2, 14, 5)])
     def test_yields_consecutive_ranks(self, p, q, start, count):
         expected = list(combinations(range(p), q))[start : start + count]
-        got = list(iter_combination_indices(p, q, start, count))
-        assert got == expected
+        assert _stream(p, q, start, count) == expected
 
     def test_count_clamped_at_end(self):
         total = comb(5, 2)
-        got = list(iter_combination_indices(5, 2, total - 2, 100))
-        assert len(got) == 2
+        assert len(_stream(5, 2, total - 2, 100)) == 2
 
     def test_zero_count(self):
-        assert list(iter_combination_indices(5, 2, 0, 0)) == []
+        # Nothing left past the last rank.
+        assert _stream(5, 2, comb(5, 2), 1) == []
 
     def test_invalid_start(self):
         with pytest.raises(ValueError):
-            list(iter_combination_indices(5, 2, comb(5, 2), 1))
+            _stream(5, 2, comb(5, 2) + 1, 1)
 
     def test_depth_zero_group(self):
-        assert list(iter_combination_indices(4, 0, 0, 3)) == [()]
+        assert _stream(4, 0, 0, 3) == [()]

@@ -94,22 +94,41 @@ class TestEdgeTask:
         ]
 
     def test_cursor_skips_unranking(self, monkeypatch):
+        # next_group pulls sets from an itertools.combinations cursor: it
+        # never unranks, not even when progress jumps out of the window —
+        # forward the cursor skips ahead in place, backwards (or across a
+        # side) it restarts the side's iterator and skips to the rank.
+        import itertools
+
         import repro.core.combinadic as cb
 
-        t = EdgeTask(0, 1, side1=(2, 3, 4, 5, 6), side2=(), depth=2)
-        want = [t.conditioning_set(r) for r in range(3, 6)]
-        t.next_group(3)
-        t.advance(3)
+        t = EdgeTask(0, 1, side1=(2, 3, 4, 5, 6), side2=(7, 8, 9), depth=2)
+        fresh = EdgeTask(0, 1, side1=t.side1, side2=t.side2, depth=2)
         calls = []
         real = cb.unrank_combination
         monkeypatch.setattr(
             cb, "unrank_combination", lambda *a: calls.append(a) or real(*a)
         )
-        assert t.next_group(3) == want
+
+        def want(r, k):
+            return [fresh.conditioning_set(i) for i in range(r, min(r + k, t.total_tests))]
+
+        calls.clear()
+        assert t.next_group(3) == want(0, 3)
+        cursor = t._cur
+        assert isinstance(cursor, itertools.combinations)
+        t.advance(3)
+        assert t.next_group(3) == want(3, 3)
+        assert t._cur is cursor  # continued, not rebuilt
+        t.progress = 8  # forward, past the window: skipped in place
+        assert t.next_group(1) == want(8, 1)
+        assert t._cur is cursor
+        t.progress = 1  # backwards: the side's iterator restarts
+        assert t.next_group(2) == want(1, 2)
+        assert t._cur is not cursor
+        t.progress = 11  # into side 2
+        assert t.next_group(5) == want(11, 5)
         assert calls == []
-        t.progress = 1  # outside the window's reach: unrank again
-        t.next_group(1)
-        assert calls == [(5, 2, 1)]
 
 
 class TestWorkPool:

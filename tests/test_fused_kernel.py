@@ -361,9 +361,11 @@ class TestMultiGroupFusion:
         t = GSquareTest(ds, batch_groups=True)
         t.test_groups(_random_groups(rng, ds.n_variables, n_groups=14))
         assert t._set_info
-        for s, (rz, nz, place) in t._set_info.items():
+        dense_limit = t.compress_threshold * ds.n_samples
+        for s, (rz, nz, place, dense_nz) in t._set_info.items():
             assert rz == [ds.arity(v) for v in s]
             assert nz == int(np.prod(rz, dtype=np.int64))
+            assert dense_nz == (nz if nz <= dense_limit else 0)
             # Mixed-radix place values of the conditioning columns, then
             # the endpoints' unit places.
             want = [int(np.prod(rz[j + 1 :], dtype=np.int64)) for j in range(len(s))]
